@@ -13,7 +13,7 @@
 //! cross-segment link cut, then healed), and **churn** (every processor
 //! crashes and recovers twice, staggered) — and runs each under noDLB,
 //! all four static strategies, **and the §S17 adaptive switching
-//! policy**, in all three engine modes. The campaign cluster's random
+//! policy**, in both engine modes. The campaign cluster's random
 //! external load drifts (persistence 0.5), so the adaptive cells
 //! genuinely re-decide — and sometimes switch — while the plan's
 //! crashes, partitions and delays land around the handover. `--procs`
@@ -33,8 +33,9 @@
 //!    plan actually crashed; partition-only plans produce none at all.
 //! 4. **Termination** — a liveness watchdog kills the campaign if any
 //!    single run wedges instead of finishing.
-//! 5. **Mode equivalence** — the three engine modes' `RunReport`s
-//!    serialize to byte-identical JSON.
+//! 5. **Mode equivalence** — the per-iteration reference and the
+//!    default episode engine serialize their `RunReport`s to
+//!    byte-identical JSON.
 //! 6. **Rejoin liveness** — across the campaign, at least one recovered
 //!    processor is admitted and executes work after rejoining
 //!    (plan 0 is a deterministic early-crash/early-recover scenario
@@ -67,7 +68,7 @@ use serde::{Serialize, Value};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// Wall-clock ceiling for one (plan, strategy) cell — three engine
+/// Wall-clock ceiling for one (plan, strategy) cell — two engine
 /// runs on a small workload finish in milliseconds; a cell that takes
 /// this long has wedged.
 const CELL_TIMEOUT: Duration = Duration::from_secs(120);
@@ -101,7 +102,7 @@ struct CampaignReport {
     mode: String,
     seed: u64,
     plans: usize,
-    /// (plan, strategy) cells executed; each cell runs all three modes.
+    /// (plan, strategy) cells executed; each cell runs both modes.
     runs: usize,
     scenario_counts: Vec<String>,
     violations: Vec<String>,
@@ -342,7 +343,7 @@ fn make_plan(seed: u64, i: usize, t: f64, p: usize) -> (usize, FaultPlan) {
     (kind, plan)
 }
 
-/// The three per-mode specs of one (plan, run-kind) cell.
+/// The two per-mode specs of one (plan, run-kind) cell.
 fn cell_specs(
     cluster: &ClusterSpec,
     wl: &WorkloadSpec,
@@ -350,19 +351,15 @@ fn cell_specs(
     plan: &FaultPlan,
     policy: FailurePolicy,
 ) -> Vec<(EngineMode, RunSpec)> {
-    [
-        EngineMode::PerIter,
-        EngineMode::Batched,
-        EngineMode::Episode,
-    ]
-    .into_iter()
-    .map(|m| {
-        let spec = RunSpec::new(wl.clone(), cluster.clone(), kind.clone())
-            .with_faults(plan.clone(), policy)
-            .with_mode(m);
-        (m, spec)
-    })
-    .collect()
+    [EngineMode::PerIter, EngineMode::Episode]
+        .into_iter()
+        .map(|m| {
+            let spec = RunSpec::new(wl.clone(), cluster.clone(), kind.clone())
+                .with_faults(plan.clone(), policy)
+                .with_mode(m);
+            (m, spec)
+        })
+        .collect()
 }
 
 fn main() {
@@ -453,7 +450,7 @@ fn main() {
     ));
 
     println!(
-        "chaos_campaign — {plans} seeded plans x {} run kinds x 3 engine modes, P={p} (seed {seed:#x}{})",
+        "chaos_campaign — {plans} seeded plans x {} run kinds x 2 engine modes, P={p} (seed {seed:#x}{})",
         cfgs.len(),
         if quick { ", quick" } else { "" }
     );

@@ -1,6 +1,6 @@
-//! Engine self-benchmark: per-iteration reference vs batched
-//! event-horizon execution vs episode fast-forward, on the paper's
-//! heaviest MXM cell.
+//! Engine self-benchmark: the per-iteration reference vs the default
+//! episode engine (block stepping plus episode fast-forward), on the
+//! paper's heaviest MXM cell.
 //!
 //! Usage:
 //!
@@ -9,12 +9,12 @@
 //! ```
 //!
 //! For noDLB plus each of the four strategies, the run is executed in
-//! all three engine modes `R` times; the table reports the **median**
+//! both engine modes `R` times; the table reports the **median**
 //! wall-clock per mode, the heap-event totals broken down by kind
 //! (compute vs. protocol vs. heartbeat), the episode fast-forward
-//! commit/fallback counts, and asserts that all three modes'
-//! `RunReport`s serialize to exactly the same bytes (the optimized
-//! engines' correctness contract — CI fails if it trips). `--quick`
+//! commit/fallback counts, and asserts that both modes' `RunReport`s
+//! serialize to exactly the same bytes (the episode engine's
+//! correctness contract — CI fails if it trips). `--quick`
 //! scales the cell down for CI smoke; the default is the full Fig. 6
 //! cell (MXM R=3200, P=16). Results land in `BENCH_engine.json`
 //! (override with `--out`); each invocation appends its cell aggregate
@@ -28,9 +28,9 @@
 //! shapes), and LCDLB runs under a two-level group hierarchy
 //! (DESIGN.md §S16) once P ≥ 64. At P ≥ 1024 the per-iteration
 //! reference is skipped — its O(P) broadcast replay is exactly the
-//! cost this cell demonstrates the episode engine avoids — and the
-//! byte-identity assert compares batched vs episode (the reference is
-//! pinned separately by the P=64 equivalence test). Trajectory points
+//! cost this cell demonstrates the episode engine avoids — so no
+//! byte-identity assert runs there (the reference is pinned separately
+//! by the P=64 equivalence test). Trajectory points
 //! carry a `procs` field and the regression gate compares like with
 //! like: same mode string *and* same P (older points without the field
 //! are read as quick=4 / full=16).
@@ -60,17 +60,12 @@ struct RunBench {
     name: String,
     /// Median wall-clock of the per-iteration reference, seconds.
     per_iter_s: f64,
-    /// Median wall-clock of the batched engine, seconds.
-    batched_s: f64,
     /// Median wall-clock of the episode fast-forward engine, seconds.
     episode_s: f64,
-    /// per_iter_s / batched_s.
-    speedup_batched: f64,
     /// per_iter_s / episode_s.
     speedup_episode: f64,
     /// Heap events pushed over the run, per mode.
     events_per_iter: u64,
-    events_batched: u64,
     events_episode: u64,
     /// events_per_iter / events_episode.
     event_reduction: f64,
@@ -90,7 +85,8 @@ struct RunBench {
     ff_fallback_fault: u64,
     ff_fallback_delay: u64,
     ff_fallback_switch: u64,
-    /// All three modes' reports serialize to exactly the same bytes.
+    /// Both modes' reports serialize to exactly the same bytes (`false`
+    /// when the reference was skipped, at P ≥ 1024).
     identical: bool,
 }
 
@@ -102,9 +98,7 @@ struct TrajectoryPoint {
     /// Cell size — regression comparisons never cross P values.
     procs: usize,
     total_per_iter_s: f64,
-    total_batched_s: f64,
     total_episode_s: f64,
-    wall_speedup_batched: f64,
     wall_speedup_episode: f64,
     total_event_reduction: f64,
     /// Raw episode-mode event count — the deterministic half of the
@@ -121,12 +115,9 @@ struct EngineBench {
     runs: Vec<RunBench>,
     /// Cell aggregates: summed medians and summed event counts.
     total_per_iter_s: f64,
-    total_batched_s: f64,
     total_episode_s: f64,
-    wall_speedup_batched: f64,
     wall_speedup_episode: f64,
     total_events_per_iter: u64,
-    total_events_batched: u64,
     total_events_episode: u64,
     total_event_reduction: f64,
     /// Cell aggregates of previous invocations (oldest first), with
@@ -323,11 +314,11 @@ fn main() {
     let server = RunServer::new(ServeConfig::new(1, MemoConfig::disabled()));
 
     println!(
-        "engine_bench — per-iteration vs batched vs episode on MXM {} P={p}, {repeat} rep(s){}",
+        "engine_bench — per-iteration vs episode on MXM {} P={p}, {repeat} rep(s){}",
         cfg.label(),
         if quick { " [quick]" } else { "" }
     );
-    println!("(median wall-clock per mode; reports byte-compared across all three)\n");
+    println!("(median wall-clock per mode; reports byte-compared across both)\n");
 
     let mut kinds: Vec<(String, Option<StrategyConfig>)> = vec![("noDLB".into(), None)];
     if procs_override.is_some() {
@@ -358,43 +349,31 @@ fn main() {
             Some(cfg) => RunKind::Dlb { cfg: *cfg },
         };
         let spec = RunSpec::new(wl.clone(), cluster.clone(), kind);
-        let (batched_s, bat_bytes, bat_counters) = timed_runs(
-            &server,
-            &spec.clone().with_mode(EngineMode::Batched),
-            repeat,
-        );
         let (episode_s, epi_bytes, epi_counters) = timed_runs(
             &server,
             &spec.clone().with_mode(EngineMode::Episode),
             repeat,
         );
-        assert!(
-            bat_bytes == epi_bytes,
-            "{name}: episode report diverged from the batched engine"
-        );
-        // Reference skipped at P ≥ 1024: its columns read 0 and the
-        // byte-identity contract is batched vs episode only.
+        // Reference skipped at P ≥ 1024: its columns read 0 and no
+        // byte-identity check runs.
         let (per_iter_s, ref_counters) = if run_reference {
             let (per_iter_s, ref_bytes, ref_counters) =
                 timed_runs(&server, &spec.with_mode(EngineMode::PerIter), repeat);
             assert!(
-                ref_bytes == bat_bytes,
-                "{name}: batched report diverged from the per-iteration reference"
+                ref_bytes == epi_bytes,
+                "{name}: episode report diverged from the per-iteration reference"
             );
             (per_iter_s, ref_counters)
         } else {
             (0.0, EngineCounters::default())
         };
-        let identical = true; // asserted above
-        let speedup_batched = per_iter_s / batched_s.max(1e-12);
+        let identical = run_reference; // asserted above
         let speedup_episode = per_iter_s / episode_s.max(1e-12);
         let event_reduction = ref_counters.events as f64 / epi_counters.events.max(1) as f64;
         rows.push(vec![
             name.clone(),
             format!("{per_iter_s:.4}"),
-            format!("{batched_s:.4}"),
             format!("{episode_s:.4}"),
-            format!("{speedup_batched:.1}x"),
             format!("{speedup_episode:.1}x"),
             format!("{}", ref_counters.events),
             format!(
@@ -416,17 +395,14 @@ fn main() {
                 epi_counters.ff_fallback_delay,
                 epi_counters.ff_fallback_switch
             ),
-            "yes".to_string(),
+            if identical { "yes" } else { "-" }.to_string(),
         ]);
         runs.push(RunBench {
             name: name.clone(),
             per_iter_s,
-            batched_s,
             episode_s,
-            speedup_batched,
             speedup_episode,
             events_per_iter: ref_counters.events,
-            events_batched: bat_counters.events,
             events_episode: epi_counters.events,
             event_reduction,
             episode_compute_events: epi_counters.compute_events,
@@ -448,10 +424,8 @@ fn main() {
             &[
                 "run",
                 "per-iter [s]",
-                "batched [s]",
                 "episode [s]",
-                "spd bat",
-                "spd epi",
+                "speedup",
                 "ev ref",
                 "ev epi (c/p/h)",
                 "ff/eps",
@@ -468,20 +442,15 @@ fn main() {
                 Align::Right,
                 Align::Right,
                 Align::Right,
-                Align::Right,
-                Align::Right,
             ],
             &rows
         )
     );
 
     let total_per_iter_s: f64 = runs.iter().map(|r| r.per_iter_s).sum();
-    let total_batched_s: f64 = runs.iter().map(|r| r.batched_s).sum();
     let total_episode_s: f64 = runs.iter().map(|r| r.episode_s).sum();
     let total_events_per_iter: u64 = runs.iter().map(|r| r.events_per_iter).sum();
-    let total_events_batched: u64 = runs.iter().map(|r| r.events_batched).sum();
     let total_events_episode: u64 = runs.iter().map(|r| r.events_episode).sum();
-    let wall_speedup_batched = total_per_iter_s / total_batched_s.max(1e-12);
     let wall_speedup_episode = total_per_iter_s / total_episode_s.max(1e-12);
     let total_event_reduction = total_events_per_iter as f64 / total_events_episode.max(1) as f64;
 
@@ -490,9 +459,7 @@ fn main() {
         mode: if quick { "quick" } else { "full" }.to_string(),
         procs: p,
         total_per_iter_s,
-        total_batched_s,
         total_episode_s,
-        wall_speedup_batched,
         wall_speedup_episode,
         total_event_reduction,
         total_events_episode,
@@ -504,19 +471,16 @@ fn main() {
         repeat,
         runs,
         total_per_iter_s,
-        total_batched_s,
         total_episode_s,
-        wall_speedup_batched,
         wall_speedup_episode,
         total_events_per_iter,
-        total_events_batched,
         total_events_episode,
         total_event_reduction,
         trajectory,
     };
     println!(
-        "cell aggregate: wall {:.1}x batched, {:.1}x episode, events {:.1}x",
-        bench.wall_speedup_batched, bench.wall_speedup_episode, bench.total_event_reduction
+        "cell aggregate: wall {:.1}x episode, events {:.1}x",
+        bench.wall_speedup_episode, bench.total_event_reduction
     );
     let json = serde_json::to_string_pretty(&bench).expect("serialize bench");
     std::fs::write(&out, format!("{json}\n")).expect("write bench output");

@@ -108,8 +108,8 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// A fault-free spec in the `DLB_ENGINE_MODE`-selected engine mode —
-    /// exactly what the direct runner entry points used to do.
+    /// A fault-free spec in the default engine mode
+    /// ([`EngineMode::Episode`]).
     pub fn new(workload: WorkloadSpec, cluster: ClusterSpec, kind: RunKind) -> Self {
         Self {
             workload,
@@ -117,7 +117,7 @@ impl RunSpec {
             kind,
             plan: FaultPlan::default(),
             policy: FailurePolicy::default(),
-            mode: EngineMode::from_env(),
+            mode: EngineMode::default(),
         }
     }
 
@@ -140,12 +140,12 @@ impl RunSpec {
     /// * an empty fault plan resets the policy to the default (the
     ///   failure machinery never engages);
     /// * the task-queue baseline ignores plan, policy and engine mode
-    ///   entirely, so all three reset.
+    ///   entirely, so all three reset (the mode to its default).
     pub fn canonical(&self) -> RunSpec {
         let mut c = self.clone();
         if matches!(c.kind, RunKind::TaskQueue { .. }) {
             c.plan = FaultPlan::default();
-            c.mode = EngineMode::Batched;
+            c.mode = EngineMode::default();
         }
         if c.plan.is_empty() {
             c.policy = FailurePolicy::default();
@@ -265,7 +265,7 @@ mod tests {
                 cfg: StrategyConfig::paper(Strategy::Gddlb, 2),
             },
         )
-        .with_mode(EngineMode::Batched)
+        .with_mode(EngineMode::Episode)
     }
 
     #[test]
@@ -307,9 +307,9 @@ mod tests {
             },
             FailurePolicy::default(),
         );
-        let episode = spec().with_mode(EngineMode::Episode);
+        let reference = spec().with_mode(EngineMode::PerIter);
         assert_ne!(a.memo_key(), faulted.memo_key());
-        assert_ne!(a.memo_key(), episode.memo_key());
+        assert_ne!(a.memo_key(), reference.memo_key());
     }
 
     #[test]
@@ -325,7 +325,7 @@ mod tests {
                 scheme: ChunkScheme::Guided,
             },
         )
-        .with_mode(EngineMode::Batched);
+        .with_mode(EngineMode::PerIter);
         let other = base.clone().with_mode(EngineMode::Episode);
         assert_eq!(base.memo_key(), other.memo_key());
     }
@@ -405,7 +405,7 @@ mod tests {
             };
             Some(cfg)
         })
-        .with_mode(EngineMode::Batched)
+        .with_mode(EngineMode::Episode)
         .run();
         assert_eq!(s.execute(), direct);
     }

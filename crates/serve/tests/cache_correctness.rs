@@ -38,7 +38,7 @@ fn stall_plan() -> FaultPlan {
 }
 
 /// The behavioural matrix: noDLB plus two strategies, three fault
-/// plans, all three engine modes — every combination a real campaign
+/// plans, both engine modes — every combination a real campaign
 /// submits.
 fn matrix() -> Vec<RunSpec> {
     let wl = WorkloadSpec::Uniform {
@@ -60,11 +60,7 @@ fn matrix() -> Vec<RunSpec> {
     let mut specs = Vec::new();
     for kind in &kinds {
         for plan in &plans {
-            for mode in [
-                EngineMode::PerIter,
-                EngineMode::Batched,
-                EngineMode::Episode,
-            ] {
+            for mode in [EngineMode::PerIter, EngineMode::Episode] {
                 specs.push(
                     RunSpec::new(wl.clone(), cluster.clone(), kind.clone())
                         .with_faults(plan.clone(), FailurePolicy::default())
@@ -156,7 +152,7 @@ fn corrupt_disk_entries_miss_and_heal() {
             cfg: StrategyConfig::paper(Strategy::Gddlb, 2),
         },
     )
-    .with_mode(EngineMode::Batched);
+    .with_mode(EngineMode::Episode);
     let reference = serde_json::to_string(&spec.execute()).expect("serialize");
     let path = entry_path(&dir, spec.memo_key());
 

@@ -27,7 +27,7 @@ fn pinned_spec() -> RunSpec {
             cfg: StrategyConfig::paper(Strategy::Gddlb, 2),
         },
     )
-    .with_mode(EngineMode::Batched)
+    .with_mode(EngineMode::Episode)
 }
 
 #[test]
@@ -76,7 +76,7 @@ fn golden_key_pinned() {
     let key = pinned_spec().memo_key_with_version(1);
     assert_eq!(
         format!("{key}"),
-        "fea2caaccf326941",
+        "a93ccc399990e691",
         "canonical serialization changed — if intentional, bump ENGINE_VERSION \
          (crates/sim/src/lib.rs) and re-pin this hash"
     );

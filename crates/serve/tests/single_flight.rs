@@ -30,7 +30,7 @@ fn spec(iterations: u64) -> RunSpec {
             cfg: StrategyConfig::paper(Strategy::Gddlb, 2),
         },
     )
-    .with_mode(EngineMode::Batched)
+    .with_mode(EngineMode::Episode)
 }
 
 #[test]

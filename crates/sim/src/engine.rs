@@ -2,16 +2,22 @@
 //!
 //! Each processor executes its work queue with events at iteration
 //! boundaries — the generated code checks for interrupts once per outer
-//! iteration. By default the engine runs in **batched event-horizon mode**
-//! ([`EngineMode::Batched`]): one `BlockDone` event covers a processor's
-//! whole contiguous run of queued iterations, with every per-iteration
-//! boundary time precomputed by replaying the exact per-iteration
-//! arithmetic (so times are bit-identical to stepping one event per
-//! iteration, which remains available as [`EngineMode::PerIter`] /
-//! `DLB_ENGINE_MODE=per-iter`). Interrupts, crashes and stalls that land
-//! mid-block preempt *lazily*: the engine settles the completed prefix at
-//! the stored boundary and reschedules the remainder. The DLB protocol
-//! runs exactly as in Section 3:
+//! iteration. By default the engine runs in [`EngineMode::Episode`]:
+//!
+//! * **Block stepping.** One `BlockDone` event covers a processor's whole
+//!   contiguous run of queued iterations, with every per-iteration
+//!   boundary time precomputed by replaying the exact per-iteration
+//!   arithmetic (so times are bit-identical to stepping one event per
+//!   iteration, which remains available as [`EngineMode::PerIter`], the
+//!   test oracle). Interrupts, crashes and stalls that land mid-block
+//!   preempt *lazily*: the engine settles the completed prefix at the
+//!   stored boundary and reschedules the remainder.
+//! * **Episode fast-forward.** A sync episode whose window holds no
+//!   fault and no foreign event runs through the protocol handlers
+//!   below in a private replay (see `ff.rs` and the [`Seam`] trait) and
+//!   is committed as one `EpisodeDone` event.
+//!
+//! The DLB protocol runs exactly as in Section 3:
 //!
 //! * a processor that drains its queue *initiates* a synchronization for
 //!   its group: it interrupts the other active members and submits its own
@@ -43,6 +49,7 @@ use dlb_core::{Distribution, DlbStats, GroupTree};
 
 use now_fault::{DetectionRecord, FailurePolicy, FaultPlan, FaultReport, RejoinRecord};
 use now_load::{ClockCursor, WorkClock};
+use now_net::medium::EndpointFactors;
 use now_net::MediumSim;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -122,37 +129,24 @@ enum Payload {
 }
 
 /// How the engine steps compute work. See the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum EngineMode {
-    /// One `BlockDone` event per contiguous run of queued iterations;
-    /// boundary times precomputed, preemption settled lazily. The default.
-    Batched,
-    /// One `IterDone` event per iteration — the reference path the batched
-    /// mode is checked against byte-for-byte.
+    /// One `IterDone` event per iteration and one heartbeat event per
+    /// liveness tick — the reference path the default mode is checked
+    /// against byte-for-byte.
     PerIter,
-    /// Batched compute **plus** episode fast-forward: a sync episode whose
-    /// window contains no fault, no foreign event, and no work arrival is
-    /// replayed analytically — every message through the exact
-    /// [`now_net::EpisodeSchedule`] arithmetic, in event order — and
-    /// settled in one step, emitting a single `EpisodeDone` event instead
-    /// of O(P)..O(P²) per-message events. Anything interfering aborts the
-    /// replay and that one episode falls back to the per-message path, so
-    /// reports stay byte-identical to [`EngineMode::Batched`]. Heartbeat
-    /// sweeps are coalesced to detection boundaries (see `ff.rs`).
+    /// Block stepping **plus** episode fast-forward: a sync episode whose
+    /// window contains no fault, no foreign event, and no work arrival
+    /// runs through the protocol handlers in a private replay — every
+    /// message through the exact [`now_net::EpisodeSchedule`] arithmetic,
+    /// in event order — and is settled in one step, emitting a single
+    /// `EpisodeDone` event instead of O(P)..O(P²) per-message events.
+    /// Anything interfering aborts the replay and that one episode runs
+    /// per-message on the global heap, so reports stay byte-identical to
+    /// [`EngineMode::PerIter`]. Heartbeat sweeps are coalesced to
+    /// detection boundaries. The default.
+    #[default]
     Episode,
-}
-
-impl EngineMode {
-    /// `DLB_ENGINE_MODE=per-iter` selects the reference path,
-    /// `DLB_ENGINE_MODE=episode` the fast-forward engine; anything else
-    /// (including unset) selects batched execution.
-    pub fn from_env() -> Self {
-        match std::env::var("DLB_ENGINE_MODE") {
-            Ok(v) if v == "per-iter" => EngineMode::PerIter,
-            Ok(v) if v == "episode" => EngineMode::Episode,
-            _ => EngineMode::Batched,
-        }
-    }
 }
 
 /// Counters the bench harness reads alongside the report.
@@ -199,7 +193,7 @@ enum FallbackReason {
     Delay,
 }
 
-/// A scheduled contiguous run of iterations (batched mode only).
+/// A scheduled contiguous run of iterations (block stepping only).
 #[derive(Debug)]
 struct BlockRun {
     /// First iteration index of the run.
@@ -225,14 +219,18 @@ enum EvKind {
     IterDone {
         proc: usize,
         iter: u64,
+        /// `block_epoch[proc]` when scheduled: a crash bumps it, so a
+        /// completion scheduled before the crash stays void even when the
+        /// revived processor is handed the same iteration again.
+        epoch: u64,
     },
-    /// Batched mode: the whole scheduled run of `proc` completes. Stale
+    /// Block stepping: the whole scheduled run of `proc` completes. Stale
     /// once the block epoch moves on (preemption, crash).
     BlockDone {
         proc: usize,
         epoch: u64,
     },
-    /// Batched mode: `proc` was interrupted mid-block; react at this — its
+    /// Block stepping: `proc` was interrupted mid-block; react at this — its
     /// next — iteration boundary, like the per-iteration engine does.
     SettleCheck {
         proc: usize,
@@ -289,14 +287,14 @@ enum EvKind {
 struct Ev {
     time: f64,
     /// Same-time tie-break: the simulation moment the event was (or, for
-    /// batched compute events, *would have been*) pushed. Within one
+    /// block-stepped compute events, *would have been*) pushed. Within one
     /// engine mode `(time, tie, seq)` orders exactly like `(time, seq)`
     /// — `seq` grows monotonically with the push moment — but across
-    /// modes it is what keeps coincident events aligned: the batched
-    /// engine pushes a block's completion at schedule time and a settle
+    /// modes it is what keeps coincident events aligned: block stepping
+    /// pushes a block's completion at schedule time and a settle
     /// check at interrupt-arrival time, while the per-iteration engine
     /// pushes the corresponding `IterDone` when that iteration *starts*
-    /// (its previous boundary). Batched compute events therefore carry an
+    /// (its previous boundary). Block-stepped compute events carry an
     /// explicit tie equal to that previous boundary, so two processors
     /// hitting profile boundaries at the same instant fire in the same
     /// order in every mode (the network medium is FCFS, so a swapped
@@ -309,7 +307,7 @@ struct Ev {
     /// instant, and on a homogeneous cluster their next boundaries
     /// coincide in *both* components. `seq` would then decide — but
     /// `seq` is mode-local (the per-iteration engine pushes its
-    /// `IterDone`s at the resume, the batched engine pushes `BlockDone`
+    /// `IterDone`s at the resume, block stepping pushes `BlockDone`
     /// at schedule time and `SettleCheck`s at interrupt arrival), so the
     /// processors would profile in different orders and the FCFS medium
     /// would diverge the whole run. Ordering colliding compute events by
@@ -354,9 +352,134 @@ fn block_done_tie(boundaries: &[f64], started: f64) -> f64 {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Ordering component of compute events (see [`Ev::pkey`]).
+fn pkey_of(kind: &EvKind) -> u32 {
+    match *kind {
+        EvKind::IterDone { proc, .. }
+        | EvKind::BlockDone { proc, .. }
+        | EvKind::SettleCheck { proc, .. } => proc as u32,
+        _ => u32::MAX,
+    }
+}
+
+/// The seam between the Section-3 protocol handlers and what drives
+/// them (DESIGN.md §S13). Every handler that runs inside a sync episode
+/// — profile sending, the balancer calculations, acting on an outcome,
+/// resuming, block scheduling and settling, interrupt and work delivery,
+/// closing — has exactly one body, generic over this trait. The two
+/// implementations differ only in where events go, how a message crosses
+/// the medium, and how profiles reach a balancer:
+///
+/// * [`Live`] — the global event heap, the shared [`MediumSim`], and the
+///   open [`Episode`]'s per-balancer profile maps;
+/// * `ff::Replay` — the fast-forward's private heap, an
+///   [`now_net::EpisodeSchedule`] snapshot of the medium, and analytic
+///   profile accounting (the k-th arrival is the latest delivery time).
+///
+/// Dispatch is static: the type parameter picks the implementation at
+/// compile time, so the live event loop pays nothing for the seam.
+trait Seam {
+    /// Queue `kind` at `time` with tie stamp `tie`; returns its sequence
+    /// number.
+    fn push(e: &mut Engine<'_>, time: f64, tie: f64, kind: EvKind) -> u64;
+    /// Cost one message on the medium; returns its undelayed delivery
+    /// time.
+    fn transmit(
+        e: &mut Engine<'_>,
+        from: usize,
+        to: usize,
+        bytes: usize,
+        now: f64,
+        factors: EndpointFactors,
+    ) -> f64;
+    /// The fault plan drops or cuts a message. `true` tells the sender to
+    /// stop there (the replay aborts); `false` runs the loss accounting.
+    fn abandon_lost(e: &mut Engine<'_>) -> bool;
+    /// Hand a sent message to its receiver at `at`.
+    fn deliver(e: &mut Engine<'_>, at: f64, to: usize, payload: Payload);
+    /// A profile lands at balancer `at` of group `g`.
+    fn record_profile(e: &mut Engine<'_>, g: usize, at: usize, profile: PerfProfile, now: f64);
+    /// Whether replicated balancer `at` holds a profile set for `g`'s
+    /// episode.
+    fn holds_profiles(e: &Engine<'_>, g: usize, at: usize) -> bool;
+    /// The profile set balancer `at` decides from, in processor order.
+    fn profiles(e: &Engine<'_>, g: usize, at: usize) -> Vec<PerfProfile>;
+    /// `g`'s episode is complete: every participant acted and no
+    /// shipment is outstanding.
+    fn close_episode(e: &mut Engine<'_>, g: usize, now: f64);
+    /// `proc`'s block was invalidated; its boundary buffer is free.
+    fn retire_block(e: &mut Engine<'_>, proc: usize, block: BlockRun);
+}
+
+/// The event loop's side of the [`Seam`].
+struct Live;
+
+impl Seam for Live {
+    fn push(e: &mut Engine<'_>, time: f64, tie: f64, kind: EvKind) -> u64 {
+        e.push_event_tied(time, tie, kind);
+        e.seq
+    }
+
+    fn transmit(
+        e: &mut Engine<'_>,
+        from: usize,
+        to: usize,
+        bytes: usize,
+        now: f64,
+        factors: EndpointFactors,
+    ) -> f64 {
+        e.medium
+            .send_with_factors(from, to, bytes, now, factors)
+            .delivered
+    }
+
+    fn abandon_lost(_: &mut Engine<'_>) -> bool {
+        false
+    }
+
+    fn deliver(e: &mut Engine<'_>, at: f64, to: usize, payload: Payload) {
+        e.push_event(at, EvKind::Deliver { to, payload });
+    }
+
+    fn record_profile(e: &mut Engine<'_>, g: usize, at: usize, profile: PerfProfile, now: f64) {
+        match e.control() {
+            Control::Centralized => e.record_central_profile(g, profile, now),
+            Control::Distributed => e.record_local_profile(at, g, profile, now),
+        }
+    }
+
+    fn holds_profiles(e: &Engine<'_>, g: usize, at: usize) -> bool {
+        e.groups[g]
+            .episode
+            .as_ref()
+            .is_some_and(|ep| ep.local_profiles.contains_key(&at))
+    }
+
+    fn profiles(e: &Engine<'_>, g: usize, at: usize) -> Vec<PerfProfile> {
+        let ep = e.groups[g]
+            .episode
+            .as_ref()
+            .expect("profiles of an open episode");
+        match e.control() {
+            Control::Centralized => ep.central_profiles.values().copied().collect(),
+            Control::Distributed => ep.local_profiles[&at].values().copied().collect(),
+        }
+    }
+
+    fn close_episode(e: &mut Engine<'_>, g: usize, now: f64) {
+        e.groups[g].episode = None;
+        e.episode_boundary_tail(g, now);
+    }
+
+    fn retire_block(e: &mut Engine<'_>, _: usize, block: BlockRun) {
+        e.boundary_pool.push(block.boundaries);
+    }
+}
+
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum ProcState {
     /// Executing an iteration.
+    #[default]
     Computing,
     /// Profile sent, blocked until the balancer's outcome arrives.
     WaitOutcome,
@@ -387,15 +510,16 @@ struct Episode {
     central_profiles: BTreeMap<usize, PerfProfile>,
     /// Per-member profile collections (distributed schemes).
     local_profiles: BTreeMap<usize, BTreeMap<usize, PerfProfile>>,
-    /// Members that have sent their profile.
-    profiled: BTreeSet<usize>,
     /// What each member handed to the transport — the sender's copy,
-    /// available for retransmission if the original is lost.
+    /// available for retransmission if the original is lost. Kept only
+    /// under a fault plan, the only way a message is lost.
     sent_profiles: BTreeMap<usize, PerfProfile>,
-    /// Members that have acted on the outcome.
-    acted: BTreeSet<usize>,
-    /// Members still owed work shipments.
-    waiting_work: BTreeSet<usize>,
+    /// How many members have acted on the outcome (see
+    /// [`Engine::acted_in`]).
+    acted: usize,
+    /// How many members are still owed work shipments (see
+    /// [`Engine::awaiting_in`]).
+    awaiting: usize,
     /// Whether stats/sync-time were recorded for this episode.
     recorded: bool,
     /// The computed outcome (identical at every replicated balancer),
@@ -418,10 +542,9 @@ impl Episode {
             participants: Arc::new(participants),
             central_profiles: BTreeMap::new(),
             local_profiles: BTreeMap::new(),
-            profiled: BTreeSet::new(),
             sent_profiles: BTreeMap::new(),
-            acted: BTreeSet::new(),
-            waiting_work: BTreeSet::new(),
+            acted: 0,
+            awaiting: 0,
             recorded: false,
             outcome: None,
             calc_central_scheduled: false,
@@ -496,11 +619,12 @@ pub struct Engine<'w> {
 
     // --- execution mode ---
     mode: EngineMode,
-    /// Batched mode: the scheduled run per processor (`None` while not
+    /// Block stepping: the scheduled run per processor (`None` while not
     /// computing, and always `None` in per-iteration mode).
     blocks: Vec<Option<BlockRun>>,
-    /// Bumped whenever a processor's block is invalidated; stamps
-    /// `BlockDone`/`SettleCheck` events so stale ones are dropped.
+    /// Bumped whenever a processor's block is invalidated (or, stepping
+    /// per iteration, when it crashes); stamps `IterDone`/`BlockDone`/
+    /// `SettleCheck` events so stale ones are dropped.
     block_epoch: Vec<u64>,
     /// Recycled boundary vectors: a retired block's buffer is reused by
     /// the next `schedule_block` instead of reallocated (episodes retire
@@ -542,6 +666,14 @@ pub struct Engine<'w> {
     /// `role_busy[r]` is when role `r`'s balancer frees up. One entry —
     /// the old scalar `master_busy_until` — in the flat layout.
     role_busy: Vec<f64>,
+    /// Per processor, the id of the open episode it has sent its profile
+    /// in, acted on the outcome in, or is still owed work shipments in
+    /// (episode ids start at 1, so 0 means none). A processor belongs to
+    /// at most one open episode, so one stamp per processor replaces
+    /// per-episode sets.
+    profiled_in: Vec<u64>,
+    acted_in: Vec<u64>,
+    awaiting_in: Vec<u64>,
     /// Work that arrived before the receiver finished its own (replicated)
     /// balancer calculation — possible in the distributed schemes, where a
     /// fast donor can decide and ship before a slow receiver decides.
@@ -713,7 +845,7 @@ impl<'w> Engine<'w> {
             seq: 0,
             ev_now: 0.0,
             counters: EngineCounters::default(),
-            mode: EngineMode::from_env(),
+            mode: EngineMode::default(),
             blocks: (0..p).map(|_| None).collect(),
             block_epoch: vec![0; p],
             boundary_pool: Vec::new(),
@@ -733,6 +865,9 @@ impl<'w> Engine<'w> {
             finished_at: vec![0.0; p],
             groups,
             proc_group,
+            profiled_in: vec![0; p],
+            acted_in: vec![0; p],
+            awaiting_in: vec![0; p],
             early_work: vec![Vec::new(); p],
             stats: DlbStats::default(),
             sync_times: Vec::new(),
@@ -781,9 +916,9 @@ impl<'w> Engine<'w> {
         self
     }
 
-    /// Select the stepping mode explicitly, overriding the
-    /// `DLB_ENGINE_MODE` environment default. Both modes produce
-    /// byte-identical reports; per-iteration is the reference path.
+    /// Select the stepping mode (default [`EngineMode::Episode`]). Both
+    /// modes produce byte-identical reports; per-iteration is the
+    /// reference path.
     pub fn with_mode(mut self, mode: EngineMode) -> Self {
         self.mode = mode;
         self
@@ -819,7 +954,7 @@ impl<'w> Engine<'w> {
                 self.state[proc] = ProcState::Inactive;
                 self.set_active(proc, false);
             } else {
-                self.schedule_compute(proc, 0.0);
+                self.schedule_compute::<Live>(proc, 0.0);
             }
         }
         if let Some(dt) = self.periodic_interval {
@@ -843,29 +978,8 @@ impl<'w> Engine<'w> {
             }
         }
         while let Some(Reverse(ev)) = self.events.pop() {
-            let now = ev.time;
-            self.ev_now = now;
-            match ev.kind {
-                EvKind::IterDone { proc, iter } => self.on_iter_done(proc, iter, now),
-                EvKind::BlockDone { proc, epoch } => self.on_block_done(proc, epoch, now),
-                EvKind::SettleCheck { proc, epoch } => self.on_settle_check(proc, epoch, now),
-                EvKind::Deliver { to, payload } => self.on_deliver(to, payload, now),
-                EvKind::CalcCentral { group } => self.on_calc_central(group, now),
-                EvKind::CalcLocal { group, proc } => self.on_calc_local(group, proc, now),
-                EvKind::PeriodicTick => self.on_periodic_tick(now),
-                EvKind::Crash { proc } => self.on_crash(proc, now),
-                EvKind::Recover { proc } => self.on_recover(proc, now),
-                EvKind::JoinRetry { proc } => self.on_join_retry(proc, now),
-                EvKind::Heartbeat => {
-                    if self.mode == EngineMode::Episode {
-                        self.on_heartbeat_coalesced(now);
-                    } else {
-                        self.on_heartbeat(now);
-                    }
-                }
-                EvKind::Watchdog { group, id } => self.on_watchdog(group, id, now),
-                EvKind::EpisodeDone { .. } => {}
-            }
+            self.ev_now = ev.time;
+            self.dispatch::<Live>(ev);
         }
         // Hard invariant: the event queue drained, so every processor must
         // have finished — any residue means the protocol deadlocked. The
@@ -924,26 +1038,18 @@ impl<'w> Engine<'w> {
         self.push_event_tied(time, tie, kind);
     }
 
-    /// Push with an explicit tie stamp (see [`Ev::tie`]) — used by the
-    /// batched engine's compute events, whose per-iteration twins would
-    /// have been pushed at a different (earlier or later) moment.
+    /// Push with an explicit tie stamp (see [`Ev::tie`]) — used by block
+    /// stepping's compute events, whose per-iteration twins would have
+    /// been pushed at a different (earlier or later) moment.
     fn push_event_tied(&mut self, time: f64, tie: f64, kind: EvKind) {
-        let pkey = match kind {
-            EvKind::IterDone { proc, .. }
-            | EvKind::BlockDone { proc, .. }
-            | EvKind::SettleCheck { proc, .. } => {
-                self.counters.compute_events += 1;
-                proc as u32
+        let pkey = pkey_of(&kind);
+        match kind {
+            EvKind::IterDone { .. } | EvKind::BlockDone { .. } | EvKind::SettleCheck { .. } => {
+                self.counters.compute_events += 1
             }
-            EvKind::Heartbeat => {
-                self.counters.heartbeat_events += 1;
-                u32::MAX
-            }
-            _ => {
-                self.counters.protocol_events += 1;
-                u32::MAX
-            }
-        };
+            EvKind::Heartbeat => self.counters.heartbeat_events += 1,
+            _ => self.counters.protocol_events += 1,
+        }
         self.seq += 1;
         self.events.push(Reverse(Ev {
             time,
@@ -954,6 +1060,41 @@ impl<'w> Engine<'w> {
         }));
     }
 
+    /// Queue `kind` through seam `M`, tie-stamped with the current event
+    /// time.
+    fn push<M: Seam>(&mut self, time: f64, kind: EvKind) -> u64 {
+        let tie = self.ev_now;
+        M::push(self, time, tie, kind)
+    }
+
+    /// Run one event's handler. The live loop feeds it the global heap;
+    /// the fast-forward feeds it its private heap, which only ever holds
+    /// compute and protocol events.
+    fn dispatch<M: Seam>(&mut self, ev: Ev) {
+        let now = ev.time;
+        match ev.kind {
+            EvKind::IterDone { proc, iter, epoch } => self.on_iter_done(proc, iter, epoch, now),
+            EvKind::BlockDone { proc, epoch } => self.on_block_done::<M>(proc, epoch, now),
+            EvKind::SettleCheck { proc, epoch } => self.on_settle_check::<M>(proc, epoch, now),
+            EvKind::Deliver { to, payload } => self.on_deliver::<M>(to, payload, now),
+            EvKind::CalcCentral { group } => self.on_calc_central::<M>(group, now),
+            EvKind::CalcLocal { group, proc } => self.on_calc_local::<M>(group, proc, now),
+            EvKind::PeriodicTick => self.on_periodic_tick(now),
+            EvKind::Crash { proc } => self.on_crash(proc, now),
+            EvKind::Recover { proc } => self.on_recover(proc, now),
+            EvKind::JoinRetry { proc } => self.on_join_retry(proc, now),
+            EvKind::Heartbeat => {
+                if self.mode == EngineMode::Episode {
+                    self.on_heartbeat_coalesced(now);
+                } else {
+                    self.on_heartbeat(now);
+                }
+            }
+            EvKind::Watchdog { group, id } => self.on_watchdog(group, id, now),
+            EvKind::EpisodeDone { .. } => {}
+        }
+    }
+
     /// CPU-cost multiplier for protocol processing on `node` at `now`:
     /// the external load shares the CPU (`ℓ+1`), and if the node's compute
     /// slave is running concurrently (e.g. the LCDLB master serving other
@@ -961,19 +1102,6 @@ impl<'w> Engine<'w> {
     /// it too — the paper's "context switching between the load balancer
     /// and the computation slave" (Section 6.2).
     fn cpu_factor(&self, node: usize, now: f64) -> f64 {
-        let ext = self.ext_slowdown(node, now);
-        let share = if self.state[node] == ProcState::Computing {
-            2.0
-        } else {
-            1.0
-        };
-        (ext * share).max(1.0)
-    }
-
-    /// The external-load component of [`Engine::cpu_factor`], span-cached.
-    /// Split out so the episode fast-forward can combine it with its
-    /// *shadow* processor states instead of `self.state`.
-    fn ext_slowdown(&self, node: usize, now: f64) -> f64 {
         let mut span = self.slow_spans[node].get();
         if !(now >= span.from && now < span.until) {
             let load = self.clocks[node].load();
@@ -984,7 +1112,12 @@ impl<'w> Engine<'w> {
             };
             self.slow_spans[node].set(span);
         }
-        span.slow
+        let share = if self.state[node] == ProcState::Computing {
+            2.0
+        } else {
+            1.0
+        };
+        (span.slow * share).max(1.0)
     }
 
     /// Single mutation point for the `active` flags, keeping the O(1)
@@ -1019,15 +1152,24 @@ impl<'w> Engine<'w> {
         self.balancer_host(self.proc_group[proc])
     }
 
-    fn send(&mut self, from: usize, to: usize, bytes: usize, payload: Payload, now: f64) {
-        self.send_opts(from, to, bytes, payload, now, false);
+    /// The balancing control mode. Only meaningful under DLB.
+    fn control(&self) -> Control {
+        self.cfg
+            .as_ref()
+            .expect("protocol steps only exist under DLB")
+            .strategy
+            .control()
+    }
+
+    fn send<M: Seam>(&mut self, from: usize, to: usize, bytes: usize, payload: Payload, now: f64) {
+        self.send_opts::<M>(from, to, bytes, payload, now, false);
     }
 
     /// `exempt` marks the message as control-plane regardless of its
     /// payload kind: the rejoin re-expansion ships work outside any
     /// episode, so no watchdog covers it — it rides the reliable
     /// handshake channel instead (still costed, contended, delayable).
-    fn send_opts(
+    fn send_opts<M: Seam>(
         &mut self,
         from: usize,
         to: usize,
@@ -1036,11 +1178,11 @@ impl<'w> Engine<'w> {
         now: f64,
         exempt: bool,
     ) {
-        let factors = now_net::medium::EndpointFactors {
+        let factors = EndpointFactors {
             send: self.cpu_factor(from, now),
             recv: self.cpu_factor(to, now),
         };
-        let tx = self.medium.send_with_factors(from, to, bytes, now, factors);
+        let mut delivered = M::transmit(self, from, to, bytes, now, factors);
         match &payload {
             Payload::Work { ranges, .. } => {
                 self.stats.transfer_messages += 1;
@@ -1061,6 +1203,9 @@ impl<'w> Engine<'w> {
             );
         if self.fault_active && !control_plane {
             if self.plan.link_cut(from, to, now) {
+                if M::abandon_lost(self) {
+                    return;
+                }
                 // Partitioned link: targeted loss. The sender's copy of
                 // any work survives in the lost-work log, so the
                 // watchdog/abort machinery recovers per-link exactly as
@@ -1072,6 +1217,9 @@ impl<'w> Engine<'w> {
                 return;
             }
             if self.plan.drops_message(self.msg_seq) {
+                if M::abandon_lost(self) {
+                    return;
+                }
                 self.faults.messages_dropped += 1;
                 if let Payload::Work { group, ranges } = payload {
                     // The donor keeps its transfer log until the episode
@@ -1081,23 +1229,22 @@ impl<'w> Engine<'w> {
                 return;
             }
         }
-        let mut delivered = tx.delivered;
         if self.fault_active {
             let f = self.plan.delay_factor_at(now);
             if f > 1.0 {
-                delivered = now_net::stretch_delivery(now, tx.delivered, f);
+                delivered = now_net::stretch_delivery(now, delivered, f);
                 self.faults.messages_delayed += 1;
             }
         }
-        self.push_event(delivered, EvKind::Deliver { to, payload });
+        M::deliver(self, delivered, to, payload);
     }
 
     /// Start `proc` computing at `now`: one event per iteration in
-    /// per-iteration mode, one event per contiguous run in batched mode.
-    fn schedule_compute(&mut self, proc: usize, now: f64) {
+    /// per-iteration mode, one event per contiguous run otherwise.
+    fn schedule_compute<M: Seam>(&mut self, proc: usize, now: f64) {
         match self.mode {
             EngineMode::PerIter => self.schedule_next_iter(proc, now),
-            EngineMode::Batched | EngineMode::Episode => self.schedule_block(proc, now),
+            EngineMode::Episode => self.schedule_block::<M>(proc, now),
         }
     }
 
@@ -1112,7 +1259,8 @@ impl<'w> Engine<'w> {
         }
         self.in_flight[proc] = Some(iter);
         self.state[proc] = ProcState::Computing;
-        self.push_event(done_at, EvKind::IterDone { proc, iter });
+        let epoch = self.block_epoch[proc];
+        self.push_event(done_at, EvKind::IterDone { proc, iter, epoch });
     }
 
     /// Push an iteration's completion past any stall interval it overlaps:
@@ -1134,7 +1282,7 @@ impl<'w> Engine<'w> {
     }
 
     // ------------------------------------------------------------------
-    // batched event-horizon execution
+    // block stepping
 
     /// Schedule `proc`'s whole front run of queued iterations as one
     /// `BlockDone` event. Boundary times replay the per-iteration chain —
@@ -1182,7 +1330,7 @@ impl<'w> Engine<'w> {
         self.boundary_pool.pop().unwrap_or_default()
     }
 
-    fn schedule_block(&mut self, proc: usize, now: f64) {
+    fn schedule_block<M: Seam>(&mut self, proc: usize, now: f64) {
         let run = self.queues[proc]
             .front_run()
             .expect("schedule_block requires a non-empty queue");
@@ -1192,12 +1340,12 @@ impl<'w> Engine<'w> {
         self.state[proc] = ProcState::Computing;
         let epoch = self.block_epoch[proc];
         let tie = block_done_tie(&boundaries, now);
-        self.push_event_tied(done_at, tie, EvKind::BlockDone { proc, epoch });
+        let seq = M::push(self, done_at, tie, EvKind::BlockDone { proc, epoch });
         self.blocks[proc] = Some(BlockRun {
             first: run.start,
             done: 0,
             boundaries,
-            seq: self.seq,
+            seq,
             started: now,
         });
     }
@@ -1239,47 +1387,63 @@ impl<'w> Engine<'w> {
             .done = upto;
     }
 
-    /// Retire `proc`'s block (recycling its boundary buffer) and stamp
-    /// any still-queued events for it stale.
-    fn invalidate_block(&mut self, proc: usize) {
+    /// Retire `proc`'s block (see [`Seam::retire_block`]) and stamp any
+    /// still-queued events for it stale.
+    fn invalidate_block<M: Seam>(&mut self, proc: usize) {
         if let Some(b) = self.blocks[proc].take() {
-            self.boundary_pool.push(b.boundaries);
+            M::retire_block(self, proc, b);
         }
         self.block_epoch[proc] += 1;
     }
 
     /// Mark `proc` interrupted. The per-iteration engine reacts at the
-    /// next `IterDone`; in batched mode that boundary has no event, so
+    /// next `IterDone`; under block stepping that boundary has no event, so
     /// synthesize a `SettleCheck` at the first stored boundary past `now`
     /// (if none remains, the pending `BlockDone` at `now` reacts itself).
-    fn flag_interrupt(&mut self, proc: usize, now: f64) {
+    fn flag_interrupt<M: Seam>(&mut self, proc: usize, now: f64) {
         if self.interrupted[proc] {
             return;
         }
         self.interrupted[proc] = true;
-        if self.mode == EngineMode::PerIter {
+        if self.mode == EngineMode::Episode {
+            self.aim_settle_check::<M>(proc, now);
+        }
+    }
+
+    /// Push a `SettleCheck` at the first boundary of `proc`'s block past
+    /// `now`, if one remains.
+    fn aim_settle_check<M: Seam>(&mut self, proc: usize, now: f64) {
+        let Some(b) = self.blocks[proc].as_ref() else {
             return;
-        }
-        if let Some(b) = self.blocks[proc].as_ref() {
-            let i = b.boundaries.partition_point(|&x| x <= now);
-            if i < b.boundaries.len() {
-                let at = b.boundaries[i];
-                // The per-iteration twin of this settle point was pushed
-                // when the iteration ending at `at` started.
-                let tie = if i == 0 {
-                    b.started
-                } else {
-                    b.boundaries[i - 1]
-                };
-                let epoch = self.block_epoch[proc];
-                self.push_event_tied(at, tie, EvKind::SettleCheck { proc, epoch });
-            }
-        }
+        };
+        let i = b.boundaries.partition_point(|&x| x <= now);
+        let Some(&at) = b.boundaries.get(i) else {
+            return;
+        };
+        // The per-iteration twin of this settle point was pushed when the
+        // iteration ending at `at` started.
+        let tie = if i == 0 {
+            b.started
+        } else {
+            b.boundaries[i - 1]
+        };
+        let epoch = self.block_epoch[proc];
+        M::push(self, at, tie, EvKind::SettleCheck { proc, epoch });
+    }
+
+    /// Whether `proc`'s group has an open episode still waiting for
+    /// `proc`'s profile — an interrupt flag served at an iteration
+    /// boundary profiles only then.
+    fn awaits_profile(&self, proc: usize) -> bool {
+        self.groups[self.proc_group[proc]]
+            .episode
+            .as_ref()
+            .is_some_and(|e| self.profiled_in[proc] != e.id)
     }
 
     /// The whole block completed: settle everything, then run the same
     /// boundary logic `on_iter_done` runs after a final iteration.
-    fn on_block_done(&mut self, proc: usize, epoch: u64, now: f64) {
+    fn on_block_done<M: Seam>(&mut self, proc: usize, epoch: u64, now: f64) {
         if epoch != self.block_epoch[proc] || self.membership.is_dead(proc) {
             return; // preempted or crashed since scheduling
         }
@@ -1289,24 +1453,24 @@ impl<'w> Engine<'w> {
             .boundaries
             .len() as u64;
         self.settle_block_to(proc, len);
-        self.invalidate_block(proc);
+        self.invalidate_block::<M>(proc);
+        self.at_boundary::<M>(proc, now);
+    }
 
+    /// `proc` finished its scheduled work: serve a pending interrupt at
+    /// this iteration boundary, then compute on or run dry.
+    fn at_boundary<M: Seam>(&mut self, proc: usize, now: f64) {
         if self.interrupted[proc] {
             self.interrupted[proc] = false;
-            let g = self.proc_group[proc];
-            let in_episode = self.groups[g]
-                .episode
-                .as_ref()
-                .is_some_and(|e| !e.profiled.contains(&proc));
-            if in_episode {
-                self.send_profile(proc, now);
+            if self.awaits_profile(proc) {
+                self.send_profile::<M>(proc, now);
                 return;
             }
         }
         if self.queues[proc].is_empty() {
-            self.on_out_of_work(proc, now);
+            self.on_out_of_work::<M>(proc, now);
         } else {
-            self.schedule_compute(proc, now);
+            self.schedule_compute::<M>(proc, now);
         }
     }
 
@@ -1314,7 +1478,7 @@ impl<'w> Engine<'w> {
     /// the completed prefix and react exactly as `on_iter_done` would —
     /// profile if the episode still wants us, otherwise clear the stale
     /// flag and let the block run on.
-    fn on_settle_check(&mut self, proc: usize, epoch: u64, now: f64) {
+    fn on_settle_check<M: Seam>(&mut self, proc: usize, epoch: u64, now: f64) {
         if epoch != self.block_epoch[proc]
             || self.membership.is_dead(proc)
             || !self.interrupted[proc]
@@ -1330,14 +1494,9 @@ impl<'w> Engine<'w> {
         };
         self.settle_block_to(proc, upto);
         self.interrupted[proc] = false;
-        let g = self.proc_group[proc];
-        let in_episode = self.groups[g]
-            .episode
-            .as_ref()
-            .is_some_and(|e| !e.profiled.contains(&proc));
-        if in_episode {
-            self.invalidate_block(proc);
-            self.send_profile(proc, now);
+        if self.awaits_profile(proc) {
+            self.invalidate_block::<M>(proc);
+            self.send_profile::<M>(proc, now);
         }
         // Stale flag: keep computing — the BlockDone is still scheduled.
     }
@@ -1345,54 +1504,42 @@ impl<'w> Engine<'w> {
     // ------------------------------------------------------------------
     // compute events
 
-    fn on_iter_done(&mut self, proc: usize, iter: u64, now: f64) {
-        if self.membership.is_dead(proc) || self.in_flight[proc] != Some(iter) {
+    fn on_iter_done(&mut self, proc: usize, iter: u64, epoch: u64, now: f64) {
+        if self.membership.is_dead(proc) || epoch != self.block_epoch[proc] {
             // The completion was scheduled before a crash; it never
             // happens. The iteration itself was returned to the queue at
-            // crash time and will be recovered. The in-flight check also
+            // crash time and will be recovered. The epoch check also
             // voids events that outlive a crash→recover cycle: the proc
             // is alive again, but this completion belongs to work that
-            // was confiscated and redistributed.
+            // was confiscated and redistributed — even when the rejoin
+            // hands the very same iteration back to this processor.
             return;
         }
+        debug_assert_eq!(
+            self.in_flight[proc],
+            Some(iter),
+            "live completion of another iteration"
+        );
         self.in_flight[proc] = None;
         self.window_iters[proc] += 1;
         self.iters_done[proc] += 1;
         self.total_iters_done += 1;
         self.work_done[proc] += self.workload.iter_cost(iter);
         self.finished_at[proc] = now;
-
-        // React to a pending interrupt at the iteration boundary.
-        if self.interrupted[proc] {
-            self.interrupted[proc] = false;
-            let g = self.proc_group[proc];
-            let in_episode = self.groups[g]
-                .episode
-                .as_ref()
-                .is_some_and(|e| !e.profiled.contains(&proc));
-            if in_episode {
-                self.send_profile(proc, now);
-                return;
-            }
-        }
-        if self.queues[proc].is_empty() {
-            self.on_out_of_work(proc, now);
-        } else {
-            self.schedule_compute(proc, now);
-        }
+        self.at_boundary::<Live>(proc, now);
     }
 
-    fn on_out_of_work(&mut self, proc: usize, now: f64) {
+    fn on_out_of_work<M: Seam>(&mut self, proc: usize, now: f64) {
         if self.cfg.is_none() {
             self.deactivate(proc, now);
             return;
         }
         let g = self.proc_group[proc];
         if let Some(episode) = self.groups[g].episode.as_ref() {
-            let participant = episode.participants.contains(&proc);
-            if participant && !episode.profiled.contains(&proc) {
+            let participant = episode.participants.binary_search(&proc).is_ok();
+            if participant && self.profiled_in[proc] != episode.id {
                 // Ran dry before the interrupt arrived: profile proactively.
-                self.send_profile(proc, now);
+                self.send_profile::<M>(proc, now);
             } else {
                 // Already served by this episode (resumed, then drained
                 // while the episode is still closing), or never part of it
@@ -1445,14 +1592,10 @@ impl<'w> Engine<'w> {
                 continue;
             }
             let initiator = actives[0];
-            let mut participants = actives.clone();
-            participants.sort_unstable();
-            self.episode_seq += 1;
-            self.groups[g].episode = Some(Episode::new(self.episode_seq, initiator, participants));
-            self.stats.syncs += 1;
+            self.open_episode(g, initiator, &actives[1..]);
             self.arm_watchdog(g, now);
             for &m in &actives[1..] {
-                self.send(
+                self.send::<Live>(
                     initiator,
                     m,
                     INTERRUPT_BYTES,
@@ -1464,7 +1607,7 @@ impl<'w> Engine<'w> {
                 );
             }
             // The initiator itself reacts at its next iteration boundary.
-            self.flag_interrupt(initiator, now);
+            self.flag_interrupt::<Live>(initiator, now);
         }
         if self.active_count >= 2 {
             let dt = self
@@ -1478,16 +1621,32 @@ impl<'w> Engine<'w> {
         if self.mode == EngineMode::Episode && self.try_fast_forward(g, initiator, &peers, now) {
             return;
         }
-        let mut participants = peers.clone();
+        self.open_episode(g, initiator, &peers);
+        self.arm_watchdog(g, now);
+        self.interrupt_and_profile::<Live>(g, initiator, &peers, now);
+    }
+
+    /// Open a fresh episode for group `g` over `initiator` and `peers`.
+    fn open_episode(&mut self, g: usize, initiator: usize, peers: &[usize]) {
+        let mut participants = peers.to_vec();
         participants.push(initiator);
         participants.sort_unstable();
         self.episode_seq += 1;
         self.groups[g].episode = Some(Episode::new(self.episode_seq, initiator, participants));
         self.stats.syncs += 1;
-        self.arm_watchdog(g, now);
-        // Interrupt the other active members…
-        for &m in &peers {
-            self.send(
+    }
+
+    /// The initiator's opening move: interrupt the other active members,
+    /// then contribute its own profile.
+    fn interrupt_and_profile<M: Seam>(
+        &mut self,
+        g: usize,
+        initiator: usize,
+        peers: &[usize],
+        now: f64,
+    ) {
+        for &m in peers {
+            self.send::<M>(
                 initiator,
                 m,
                 INTERRUPT_BYTES,
@@ -1498,8 +1657,7 @@ impl<'w> Engine<'w> {
                 now,
             );
         }
-        // …and contribute our own profile.
-        self.send_profile(initiator, now);
+        self.send_profile::<M>(initiator, now);
     }
 
     /// Schedule the episode watchdog (failure handling only — a run
@@ -1528,60 +1686,43 @@ impl<'w> Engine<'w> {
         }
     }
 
-    fn send_profile(&mut self, proc: usize, now: f64) {
+    fn send_profile<M: Seam>(&mut self, proc: usize, now: f64) {
         let g = self.proc_group[proc];
         let profile = self.make_profile(proc, now);
         self.state[proc] = ProcState::WaitOutcome;
-        let control = self
-            .cfg
-            .as_ref()
-            .expect("profiles only exist under DLB")
-            .strategy
-            .control();
+        let control = self.control();
         let episode = self.groups[g]
             .episode
             .as_mut()
             .expect("profile outside an episode");
-        episode.profiled.insert(proc);
-        episode.sent_profiles.insert(proc, profile);
+        self.profiled_in[proc] = episode.id;
+        if self.fault_active {
+            // Only watchdog retransmission reads the sender's copy.
+            episode.sent_profiles.insert(proc, profile);
+        }
         let episode_id = episode.id;
+        let payload = Payload::Profile {
+            group: g,
+            profile,
+            episode: episode_id,
+        };
         match control {
             Control::Centralized => {
                 let master = self.balancer_host(g);
                 if proc == master {
-                    self.record_central_profile(g, profile, now);
+                    M::record_profile(self, g, master, profile, now);
                 } else {
-                    self.send(
-                        proc,
-                        master,
-                        PerfProfile::WIRE_BYTES,
-                        Payload::Profile {
-                            group: g,
-                            profile,
-                            episode: episode_id,
-                        },
-                        now,
-                    );
+                    self.send::<M>(proc, master, PerfProfile::WIRE_BYTES, payload, now);
                 }
             }
             Control::Distributed => {
                 let participants = Arc::clone(&episode.participants);
                 // Record locally first…
-                self.record_local_profile(proc, g, profile, now);
+                M::record_profile(self, g, proc, profile, now);
                 // …then broadcast to the other participants.
                 for &to in participants.iter() {
                     if to != proc {
-                        self.send(
-                            proc,
-                            to,
-                            PerfProfile::WIRE_BYTES,
-                            Payload::Profile {
-                                group: g,
-                                profile,
-                                episode: episode_id,
-                            },
-                            now,
-                        );
+                        self.send::<M>(proc, to, PerfProfile::WIRE_BYTES, payload.clone(), now);
                     }
                 }
             }
@@ -1601,7 +1742,6 @@ impl<'w> Engine<'w> {
     /// profile is in. Idempotent: duplicates (retransmissions) and
     /// membership shrink re-checks cannot double-schedule.
     fn try_calc_central(&mut self, g: usize, now: f64) {
-        let cfg = *self.cfg.as_ref().expect("centralized profile under DLB");
         let Some(episode) = self.groups[g].episode.as_mut() else {
             return;
         };
@@ -1612,16 +1752,22 @@ impl<'w> Engine<'w> {
             return;
         }
         episode.calc_central_scheduled = true;
-        // The balancer serves its groups FIFO: the wait in this queue is
-        // the paper's LCDLB delay factor — global with one flat role,
-        // per-domain under a §S16 hierarchy. The calculation runs on the
-        // (possibly loaded, possibly still computing) host CPU.
+        self.schedule_central_calc::<Live>(g, now);
+    }
+
+    /// The central calculation for group `g`, its profile set complete at
+    /// `now`. The balancer serves its groups FIFO: the wait in this queue
+    /// is the paper's LCDLB delay factor — global with one flat role,
+    /// per-domain under a §S16 hierarchy. The calculation runs on the
+    /// (possibly loaded, possibly still computing) host CPU.
+    fn schedule_central_calc<M: Seam>(&mut self, g: usize, now: f64) {
+        let cfg = *self.cfg.as_ref().expect("centralized profile under DLB");
         let role = self.role_of_group[g];
         let host = self.balancer_host(g);
         let start = now.max(self.role_busy[role]);
         let done = start + cfg.calc_cost * self.cpu_factor(host, now);
         self.role_busy[role] = done;
-        self.push_event(done, EvKind::CalcCentral { group: g });
+        self.push::<M>(done, EvKind::CalcCentral { group: g });
     }
 
     fn record_local_profile(&mut self, at: usize, g: usize, profile: PerfProfile, now: f64) {
@@ -1640,7 +1786,6 @@ impl<'w> Engine<'w> {
     /// Schedule member `at`'s replicated calculation once its profile set
     /// is complete. Idempotent, like [`Engine::try_calc_central`].
     fn try_calc_local(&mut self, g: usize, at: usize, now: f64) {
-        let cfg = *self.cfg.as_ref().expect("distributed profile under DLB");
         let Some(episode) = self.groups[g].episode.as_mut() else {
             return;
         };
@@ -1652,9 +1797,14 @@ impl<'w> Engine<'w> {
             return;
         }
         episode.calc_scheduled.insert(at);
-        // Replicated calculation on each (loaded) member CPU.
+        self.schedule_local_calc::<Live>(g, at, now);
+    }
+
+    /// Member `at`'s replicated calculation, on its own (loaded) CPU.
+    fn schedule_local_calc<M: Seam>(&mut self, g: usize, at: usize, now: f64) {
+        let cfg = *self.cfg.as_ref().expect("distributed profile under DLB");
         let done = now + cfg.calc_cost * self.cpu_factor(at, now);
-        self.push_event(done, EvKind::CalcLocal { group: g, proc: at });
+        self.push::<M>(done, EvKind::CalcLocal { group: g, proc: at });
     }
 
     fn decide(&mut self, profiles: &[PerfProfile]) -> BalanceOutcome {
@@ -1666,39 +1816,41 @@ impl<'w> Engine<'w> {
         })
     }
 
-    fn record_decision(&mut self, g: usize, outcome: &BalanceOutcome, now: f64) {
+    /// Compute `g`'s outcome from balancer `at`'s profile set, account it
+    /// once per episode, and keep it for retransmission and for the other
+    /// replicated balancers.
+    fn decide_episode<M: Seam>(&mut self, g: usize, at: usize, now: f64) -> Arc<BalanceOutcome> {
+        let profiles = M::profiles(self, g, at);
+        let outcome = Arc::new(self.decide(&profiles));
         let episode = self.groups[g].episode.as_mut().expect("episode must exist");
-        if episode.recorded {
-            return;
+        episode.outcome = Some(Arc::clone(&outcome));
+        if !std::mem::replace(&mut episode.recorded, true) {
+            self.stats.record_verdict(outcome.verdict);
+            if outcome.verdict == BalanceVerdict::Move {
+                self.stats.iters_moved += outcome.moved;
+            }
+            self.sync_times.push(now);
         }
-        episode.recorded = true;
-        self.stats.record_verdict(outcome.verdict);
-        if outcome.verdict == BalanceVerdict::Move {
-            self.stats.iters_moved += outcome.moved;
-        }
-        self.sync_times.push(now);
+        outcome
     }
 
-    fn on_calc_central(&mut self, g: usize, now: f64) {
+    fn on_calc_central<M: Seam>(&mut self, g: usize, now: f64) {
         // The episode may have been aborted, the balancer host may have
         // died, or a §S17 switch may have dropped the group index,
         // between scheduling and firing.
         let Some(episode) = self.groups.get(g).and_then(|gc| gc.episode.as_ref()) else {
             return;
         };
-        if episode.outcome.is_some() || self.membership.is_dead(self.balancer_host(g)) {
+        let master = self.balancer_host(g);
+        if episode.outcome.is_some() || self.membership.is_dead(master) {
             return;
         }
-        let profiles: Vec<PerfProfile> = episode.central_profiles.values().copied().collect();
-        let outcome = Arc::new(self.decide(&profiles));
-        self.record_decision(g, &outcome, now);
-        let master = self.balancer_host(g);
+        let outcome = self.decide_episode::<M>(g, master, now);
         let (participants, episode_id) = {
             let episode = self.groups[g]
                 .episode
-                .as_mut()
+                .as_ref()
                 .expect("episode checked above");
-            episode.outcome = Some(Arc::clone(&outcome));
             (Arc::clone(&episode.participants), episode.id)
         };
         // Broadcast the outcome ("the load balancer broadcasts the new
@@ -1709,7 +1861,7 @@ impl<'w> Engine<'w> {
             if m == master {
                 continue;
             }
-            self.send(
+            self.send::<M>(
                 master,
                 m,
                 INSTRUCTION_BYTES,
@@ -1722,84 +1874,61 @@ impl<'w> Engine<'w> {
                 now,
             );
         }
-        if participants.contains(&master) {
-            self.act_on_outcome(master, g, &outcome, now);
+        if participants.binary_search(&master).is_ok() {
+            self.act_on_outcome::<M>(master, g, &outcome, now);
         }
     }
 
-    fn on_calc_local(&mut self, g: usize, proc: usize, now: f64) {
+    fn on_calc_local<M: Seam>(&mut self, g: usize, proc: usize, now: f64) {
         // Aborted episode, a balancer replica that died since
         // scheduling, or a group index dropped by a §S17 switch:
         // nothing to do.
         let Some(episode) = self.groups.get(g).and_then(|gc| gc.episode.as_ref()) else {
             return;
         };
-        if self.membership.is_dead(proc) {
+        if self.membership.is_dead(proc) || !M::holds_profiles(self, g, proc) {
             return;
         }
-        let Some(mine) = episode.local_profiles.get(&proc) else {
-            return;
-        };
         // Every member computes the same deterministic outcome in parallel:
         // `decide` is a pure function of the complete, proc-ordered profile
         // set, which is identical across members. Model the cost on every
         // member (the CalcLocal event) but run the arithmetic once.
-        let (profiles, cached) = match episode.outcome.as_ref() {
-            Some(out) => (Vec::new(), Some(Arc::clone(out))),
-            None => (mine.values().copied().collect::<Vec<_>>(), None),
+        let outcome = match episode.outcome.as_ref() {
+            Some(out) => Arc::clone(out),
+            None => self.decide_episode::<M>(g, proc, now),
         };
-        let outcome = match cached {
-            Some(out) => out,
-            None => {
-                let outcome = Arc::new(self.decide(&profiles));
-                self.record_decision(g, &outcome, now);
-                if let Some(episode) = self.groups[g].episode.as_mut() {
-                    episode.outcome = Some(Arc::clone(&outcome));
-                }
-                outcome
-            }
-        };
-        self.act_on_outcome(proc, g, &outcome, now);
+        self.act_on_outcome::<M>(proc, g, &outcome, now);
     }
 
-    fn act_on_outcome(&mut self, m: usize, g: usize, outcome: &BalanceOutcome, now: f64) {
+    fn act_on_outcome<M: Seam>(&mut self, m: usize, g: usize, outcome: &BalanceOutcome, now: f64) {
         {
             let episode = self.groups[g]
                 .episode
                 .as_mut()
                 .expect("act without episode");
-            debug_assert!(episode.participants.contains(&m), "actor must participate");
-            if !episode.acted.insert(m) {
+            debug_assert!(
+                episode.participants.binary_search(&m).is_ok(),
+                "actor must participate"
+            );
+            if self.acted_in[m] == episode.id {
                 // A retransmitted instruction raced its original: acting
                 // twice would ship the same transfers twice.
                 return;
             }
+            self.acted_in[m] = episode.id;
+            episode.acted += 1;
         }
 
         // Ship what we owe.
         for t in outcome.transfers.iter().filter(|t| t.from == m) {
             let ranges = self.queues[m].take_back(t.iters);
-            if ranges_len(&ranges) != t.iters {
-                let e = self.groups[g].episode.as_ref().unwrap();
-                eprintln!(
-                    "SHORTFALL m={m} g={g} planned={} got={} episode_id={} same_outcome={} state={:?} profile_remaining={:?}",
-                    t.iters,
-                    ranges_len(&ranges),
-                    e.id,
-                    e.outcome
-                        .as_ref()
-                        .is_some_and(|o| std::ptr::eq(o.as_ref(), outcome)),
-                    self.state[m],
-                    e.sent_profiles.get(&m).map(|p| p.remaining),
-                );
-            }
             assert_eq!(
                 ranges_len(&ranges),
                 t.iters,
                 "donor {m} cannot cover the planned transfer"
             );
             let bytes = WORK_HEADER_BYTES + (t.iters * self.bytes_per_iter) as usize;
-            self.send(m, t.to, bytes, Payload::Work { group: g, ranges }, now);
+            self.send::<M>(m, t.to, bytes, Payload::Work { group: g, ranges }, now);
         }
 
         // Wait for what we are owed, crediting any shipments that raced
@@ -1821,19 +1950,33 @@ impl<'w> Engine<'w> {
         }
         if expect > 0 {
             self.state[m] = ProcState::WaitWork { expect };
-            self.groups[g]
+            let episode = self.groups[g]
                 .episode
                 .as_mut()
-                .expect("episode while waiting for work")
-                .waiting_work
-                .insert(m);
+                .expect("episode while waiting for work");
+            if self.awaiting_in[m] != episode.id {
+                self.awaiting_in[m] = episode.id;
+                episode.awaiting += 1;
+            }
         } else {
-            self.resume(m, now);
+            self.resume::<M>(m, now);
         }
-        self.maybe_close_episode(g, now);
+        self.maybe_close_episode::<M>(g, now);
     }
 
-    fn resume(&mut self, m: usize, now: f64) {
+    /// `m` is no longer owed shipments in group `g`'s open episode.
+    /// `get`: a Work delivery can carry a group index a §S17 switch
+    /// dropped.
+    fn stop_awaiting(&mut self, g: usize, m: usize) {
+        if let Some(e) = self.groups.get_mut(g).and_then(|gc| gc.episode.as_mut()) {
+            if self.awaiting_in[m] == e.id {
+                self.awaiting_in[m] = 0;
+                e.awaiting -= 1;
+            }
+        }
+    }
+
+    fn resume<M: Seam>(&mut self, m: usize, now: f64) {
         self.window_start[m] = now;
         self.window_iters[m] = 0;
         if self.queues[m].is_empty() {
@@ -1841,24 +1984,21 @@ impl<'w> Engine<'w> {
             // computation (Section 5.2).
             self.deactivate(m, now);
         } else {
-            self.schedule_compute(m, now);
+            self.schedule_compute::<M>(m, now);
         }
     }
 
-    fn maybe_close_episode(&mut self, g: usize, now: f64) {
-        let done = {
-            // `get`: reachable with a group index a §S17 switch dropped
-            // (via the Work delivery path); no group, no episode.
-            let Some(e) = self.groups.get(g).and_then(|gc| gc.episode.as_ref()) else {
-                return;
-            };
-            e.acted.len() == e.participants.len() && e.waiting_work.is_empty()
-        };
-        if !done {
-            return;
+    fn maybe_close_episode<M: Seam>(&mut self, g: usize, now: f64) {
+        // `get`: reachable with a group index a §S17 switch dropped (via
+        // the Work delivery path); no group, no episode.
+        let done = self
+            .groups
+            .get(g)
+            .and_then(|gc| gc.episode.as_ref())
+            .is_some_and(|e| e.acted == e.participants.len() && e.awaiting == 0);
+        if done {
+            M::close_episode(self, g, now);
         }
-        self.groups[g].episode = None;
-        self.episode_boundary_tail(g, now);
     }
 
     // ------------------------------------------------------------------
@@ -1884,9 +2024,11 @@ impl<'w> Engine<'w> {
         // completes; put it back so recovery can hand it to a survivor.
         if let Some(iter) = self.in_flight[proc].take() {
             self.queues[proc].push_back(iter..iter + 1);
+            // Void the pending completion (see `EvKind::IterDone`).
+            self.block_epoch[proc] += 1;
         }
         if self.blocks[proc].is_some() {
-            // Batched mode: iterations whose boundary lies strictly before
+            // Block stepping: iterations whose boundary lies strictly before
             // the crash completed (an exact tie dies with the crash, which
             // drains first — its event predates the block's). Settle them,
             // then move the in-flight iteration to the back of the queue,
@@ -1906,7 +2048,7 @@ impl<'w> Engine<'w> {
                 "crash must preempt the next queued iteration"
             );
             self.queues[proc].push_back(got..got + 1);
-            self.invalidate_block(proc);
+            self.invalidate_block::<Live>(proc);
         }
         self.set_active(proc, false);
         self.state[proc] = ProcState::Inactive;
@@ -2067,14 +2209,8 @@ impl<'w> Engine<'w> {
         for (_, rs) in std::mem::take(&mut self.early_work[d]) {
             ranges.extend(rs);
         }
-        let mut i = 0;
-        while i < self.lost_work.len() {
-            if self.lost_work[i].0 == d {
-                let (_, _, rs) = self.lost_work.swap_remove(i);
-                ranges.extend(rs);
-            } else {
-                i += 1;
-            }
+        for (_, _, rs) in self.take_lost_work(|to, _| to == d) {
+            ranges.extend(rs);
         }
         let recovered = ranges_len(&ranges);
         self.faults.iters_recovered += recovered;
@@ -2129,6 +2265,25 @@ impl<'w> Engine<'w> {
 
         self.fixup_episode_after_death(g, d, now);
         self.reassign_ranges(g, ranges, now);
+    }
+
+    /// Remove and return the lost shipments `pick(to, group)` selects, in
+    /// `swap_remove` scan order.
+    fn take_lost_work(
+        &mut self,
+        pick: impl Fn(usize, usize) -> bool,
+    ) -> Vec<(usize, usize, Vec<Range<u64>>)> {
+        let mut taken = Vec::new();
+        let mut i = 0;
+        while i < self.lost_work.len() {
+            let (to, group, _) = self.lost_work[i];
+            if pick(to, group) {
+                taken.push(self.lost_work.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        taken
     }
 
     /// Re-elect role `r`'s balancer after its host died: the §S16
@@ -2187,7 +2342,7 @@ impl<'w> Engine<'w> {
             for r in part {
                 self.queues[m].push_back(r);
             }
-            self.wake_if_idle(m, now);
+            self.wake_if_idle::<Live>(m, now);
         }
     }
 
@@ -2200,14 +2355,14 @@ impl<'w> Engine<'w> {
 
     /// A processor that had left the computation (or was queued to start
     /// an episode) re-enters it to execute newly assigned work.
-    fn wake_if_idle(&mut self, m: usize, now: f64) {
+    fn wake_if_idle<M: Seam>(&mut self, m: usize, now: f64) {
         match self.state[m] {
             ProcState::Inactive | ProcState::IdlePending => {
                 self.groups[self.proc_group[m]]
                     .pending_initiators
                     .remove(&m);
                 self.set_active(m, true);
-                self.resume(m, now);
+                self.resume::<M>(m, now);
             }
             // Computing continues; WaitOutcome/WaitWork pick the new
             // work up when their episode resolves.
@@ -2220,7 +2375,7 @@ impl<'w> Engine<'w> {
 
     /// Iterations `m` has not finished executing at `now`, independent of
     /// engine mode: per-iteration stepping pops the in-flight iteration
-    /// from the queue, batched execution leaves completed-but-unsettled
+    /// from the queue, block stepping leaves completed-but-unsettled
     /// iterations *in* it — this reconciles both to the same count, so a
     /// rejoin admission computes the identical redistribution in every
     /// mode.
@@ -2286,17 +2441,7 @@ impl<'w> Engine<'w> {
             if self.interrupted[m] {
                 // The settle point the pending interrupt was waiting on
                 // went stale with the old epoch; re-aim it.
-                let b = self.blocks[m].as_ref().expect("block checked above");
-                let i = b.boundaries.partition_point(|&x| x <= now);
-                if i < b.boundaries.len() {
-                    let at2 = b.boundaries[i];
-                    let tie2 = if i == 0 {
-                        b.started
-                    } else {
-                        b.boundaries[i - 1]
-                    };
-                    self.push_event_tied(at2, tie2, EvKind::SettleCheck { proc: m, epoch });
-                }
+                self.aim_settle_check::<Live>(m, now);
             }
         }
         ranges
@@ -2347,7 +2492,7 @@ impl<'w> Engine<'w> {
                 self.set_active(proc, true);
                 self.window_start[proc] = now;
                 self.window_iters[proc] = 0;
-                self.schedule_compute(proc, now);
+                self.schedule_compute::<Live>(proc, now);
             }
             return;
         }
@@ -2357,7 +2502,7 @@ impl<'w> Engine<'w> {
             // Sole survivor scenarios: the comeback *is* the coordinator.
             self.request_admission(proc, now);
         } else {
-            self.send(proc, host, JOIN_BYTES, Payload::JoinRequest { proc }, now);
+            self.send::<Live>(proc, host, JOIN_BYTES, Payload::JoinRequest { proc }, now);
             self.push_event(
                 now + self.policy.heartbeat_interval,
                 EvKind::JoinRetry { proc },
@@ -2377,7 +2522,7 @@ impl<'w> Engine<'w> {
             self.request_admission(proc, now);
             return;
         }
-        self.send(proc, host, JOIN_BYTES, Payload::JoinRequest { proc }, now);
+        self.send::<Live>(proc, host, JOIN_BYTES, Payload::JoinRequest { proc }, now);
         if self.total_iters_done < self.workload.iterations() {
             self.push_event(
                 now + self.policy.heartbeat_interval,
@@ -2477,7 +2622,7 @@ impl<'w> Engine<'w> {
             let bytes = WORK_HEADER_BYTES + (ranges_len(&ranges) * self.bytes_per_iter) as usize;
             // Exempt from loss/cuts: this shipment happens between
             // episodes, where no watchdog would ever retransmit it.
-            self.send_opts(
+            self.send_opts::<Live>(
                 from,
                 q,
                 bytes,
@@ -2490,7 +2635,7 @@ impl<'w> Engine<'w> {
         if q == host {
             self.apply_join_grant(q, now);
         } else {
-            self.send(
+            self.send::<Live>(
                 host,
                 q,
                 JOIN_BYTES,
@@ -2523,10 +2668,10 @@ impl<'w> Engine<'w> {
                 self.groups[g].pending_initiators.insert(q);
             } else {
                 self.state[q] = ProcState::Inactive;
-                self.on_out_of_work(q, now);
+                self.on_out_of_work::<Live>(q, now);
             }
         } else {
-            self.schedule_compute(q, now);
+            self.schedule_compute::<Live>(q, now);
         }
     }
 
@@ -2542,11 +2687,19 @@ impl<'w> Engine<'w> {
             if !e.participants.contains(&d) {
                 return;
             }
-            let d_acted = e.acted.contains(&d);
+            let d_acted = self.acted_in[d] == e.id;
             Arc::make_mut(&mut e.participants).retain(|&m| m != d);
-            e.profiled.remove(&d);
-            e.acted.remove(&d);
-            e.waiting_work.remove(&d);
+            if self.profiled_in[d] == e.id {
+                self.profiled_in[d] = 0;
+            }
+            if d_acted {
+                self.acted_in[d] = 0;
+                e.acted -= 1;
+            }
+            if self.awaiting_in[d] == e.id {
+                self.awaiting_in[d] = 0;
+                e.awaiting -= 1;
+            }
             e.central_profiles.remove(&d);
             e.sent_profiles.remove(&d);
             e.local_profiles.remove(&d);
@@ -2582,10 +2735,8 @@ impl<'w> Engine<'w> {
                     }
                     let left = expect.saturating_sub(owed_by_dead);
                     if left == 0 {
-                        if let Some(e) = self.groups[g].episode.as_mut() {
-                            e.waiting_work.remove(&m);
-                        }
-                        self.resume(m, now);
+                        self.stop_awaiting(g, m);
+                        self.resume::<Live>(m, now);
                     } else {
                         self.state[m] = ProcState::WaitWork { expect: left };
                     }
@@ -2594,13 +2745,7 @@ impl<'w> Engine<'w> {
             Some(_) => {}
             None => {
                 // With d removed, the profile sets may now be complete.
-                let control = self
-                    .cfg
-                    .as_ref()
-                    .expect("episode requires DLB")
-                    .strategy
-                    .control();
-                match control {
+                match self.control() {
                     Control::Centralized => self.try_calc_central(g, now),
                     Control::Distributed => {
                         for &m in participants.iter() {
@@ -2610,7 +2755,7 @@ impl<'w> Engine<'w> {
                 }
             }
         }
-        self.maybe_close_episode(g, now);
+        self.maybe_close_episode::<Live>(g, now);
     }
 
     /// One watchdog retransmission round for group `g`'s episode: re-send
@@ -2618,12 +2763,7 @@ impl<'w> Engine<'w> {
     /// shipments, unanswered interrupts, profiles missing at a balancer,
     /// and unacted instructions.
     fn retransmit(&mut self, g: usize, now: f64) {
-        let control = self
-            .cfg
-            .as_ref()
-            .expect("episode requires DLB")
-            .strategy
-            .control();
+        let control = self.control();
         let (
             episode_id,
             initiator,
@@ -2643,7 +2783,10 @@ impl<'w> Engine<'w> {
                 e.id,
                 e.initiator,
                 Arc::clone(&e.participants),
-                e.profiled.clone(),
+                e.participants
+                    .iter()
+                    .map(|&m| self.profiled_in[m] == e.id)
+                    .collect::<Vec<bool>>(),
                 e.sent_profiles.clone(),
                 e.central_profiles
                     .keys()
@@ -2653,7 +2796,10 @@ impl<'w> Engine<'w> {
                     .iter()
                     .map(|(&m, profs)| (m, profs.keys().copied().collect::<BTreeSet<usize>>()))
                     .collect::<BTreeMap<usize, BTreeSet<usize>>>(),
-                e.acted.clone(),
+                e.participants
+                    .iter()
+                    .map(|&m| self.acted_in[m] == e.id)
+                    .collect::<Vec<bool>>(),
                 e.outcome.clone(),
             )
         };
@@ -2678,31 +2824,22 @@ impl<'w> Engine<'w> {
         };
 
         // 1. Lost work shipments (sender-side copies).
-        let mut stash = Vec::new();
-        let mut i = 0;
-        while i < self.lost_work.len() {
-            if self.lost_work[i].1 == g {
-                stash.push(self.lost_work.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        for (to, grp, ranges) in stash {
+        for (to, grp, ranges) in self.take_lost_work(|_, grp| grp == g) {
             self.faults.retries += 1;
             let bytes = WORK_HEADER_BYTES + (ranges_len(&ranges) * self.bytes_per_iter) as usize;
-            self.send(sender, to, bytes, Payload::Work { group: grp, ranges }, now);
+            self.send::<Live>(sender, to, bytes, Payload::Work { group: grp, ranges }, now);
         }
 
         // 2. Interrupts that never bit: a live participant still
         // computing, unprofiled, with no pending interrupt flag.
-        for &m in participants.iter() {
+        for (&m, &has_profiled) in participants.iter().zip(&profiled) {
             if alive(m)
-                && !profiled.contains(&m)
+                && !has_profiled
                 && self.state[m] == ProcState::Computing
                 && !self.interrupted[m]
             {
                 self.faults.retries += 1;
-                self.send(
+                self.send::<Live>(
                     sender,
                     m,
                     INTERRUPT_BYTES,
@@ -2728,7 +2865,7 @@ impl<'w> Engine<'w> {
                     if q == master {
                         self.record_central_profile(g, *prof, now);
                     } else {
-                        self.send(
+                        self.send::<Live>(
                             q,
                             master,
                             PerfProfile::WIRE_BYTES,
@@ -2753,7 +2890,7 @@ impl<'w> Engine<'w> {
                             continue;
                         }
                         self.faults.retries += 1;
-                        self.send(
+                        self.send::<Live>(
                             q,
                             m,
                             PerfProfile::WIRE_BYTES,
@@ -2774,18 +2911,18 @@ impl<'w> Engine<'w> {
         if control == Control::Centralized {
             if let Some(out) = outcome {
                 let master = self.balancer_host(g);
-                for &m in participants.iter() {
-                    if !alive(m) || acted.contains(&m) {
+                for (&m, &has_acted) in participants.iter().zip(&acted) {
+                    if !alive(m) || has_acted {
                         continue;
                     }
                     self.faults.retries += 1;
                     if m == master {
-                        self.act_on_outcome(m, g, &out, now);
+                        self.act_on_outcome::<Live>(m, g, &out, now);
                     } else {
                         // Stamped with the *current* epoch: retransmission
                         // is exactly how a view change supersedes stale
                         // in-flight instructions (§S14).
-                        self.send(
+                        self.send::<Live>(
                             master,
                             m,
                             INSTRUCTION_BYTES,
@@ -2824,26 +2961,17 @@ impl<'w> Engine<'w> {
                 }
             }
             match self.state[m] {
-                ProcState::WaitOutcome | ProcState::WaitWork { .. } => self.resume(m, now),
+                ProcState::WaitOutcome | ProcState::WaitWork { .. } => self.resume::<Live>(m, now),
                 _ => {}
             }
         }
         // Iterations stuck in the lost-work log must not leak.
-        let mut stash = Vec::new();
-        let mut i = 0;
-        while i < self.lost_work.len() {
-            if self.lost_work[i].1 == g {
-                stash.push(self.lost_work.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        for (to, _, ranges) in stash {
+        for (to, _, ranges) in self.take_lost_work(|_, grp| grp == g) {
             if self.membership.is_alive(to) {
                 for r in ranges {
                     self.queues[to].push_back(r);
                 }
-                self.wake_if_idle(to, now);
+                self.wake_if_idle::<Live>(to, now);
             } else {
                 self.reassign_orphan_ranges(to, ranges, now);
             }
@@ -2856,7 +2984,7 @@ impl<'w> Engine<'w> {
     // ------------------------------------------------------------------
     // deliveries
 
-    fn on_deliver(&mut self, to: usize, payload: Payload, now: f64) {
+    fn on_deliver<M: Seam>(&mut self, to: usize, payload: Payload, now: f64) {
         if self.membership.is_dead(to) {
             // A dead endpoint acknowledges nothing: the transport reports
             // the failure and the sender keeps its copy of any work so
@@ -2895,7 +3023,7 @@ impl<'w> Engine<'w> {
                     return;
                 }
                 match self.state[to] {
-                    ProcState::Computing => self.flag_interrupt(to, now),
+                    ProcState::Computing => self.flag_interrupt::<M>(to, now),
                     // Drained while the previous episode was closing and
                     // queued to initiate the next one — but a peer beat it
                     // to it: join the peer's episode instead.
@@ -2903,10 +3031,10 @@ impl<'w> Engine<'w> {
                         let join = self.groups[group]
                             .episode
                             .as_ref()
-                            .is_some_and(|e| !e.profiled.contains(&to));
+                            .is_some_and(|e| self.profiled_in[to] != e.id);
                         if join {
                             self.groups[group].pending_initiators.remove(&to);
-                            self.send_profile(to, now);
+                            self.send_profile::<M>(to, now);
                         }
                     }
                     // Already profiled proactively, waiting, or inactive:
@@ -2919,12 +3047,6 @@ impl<'w> Engine<'w> {
                 profile,
                 episode,
             } => {
-                let control = self
-                    .cfg
-                    .as_ref()
-                    .expect("profile delivery under DLB")
-                    .strategy
-                    .control();
                 // Stale if the episode completed or aborted (None) or a
                 // fresh one replaced it (id mismatch) — a retransmission
                 // duplicate's snapshot must not seed the next episode's
@@ -2941,10 +3063,7 @@ impl<'w> Engine<'w> {
                 {
                     return;
                 }
-                match control {
-                    Control::Centralized => self.record_central_profile(group, profile, now),
-                    Control::Distributed => self.record_local_profile(to, group, profile, now),
-                }
+                M::record_profile(self, group, to, profile, now);
             }
             Payload::Instruction {
                 group,
@@ -2982,7 +3101,7 @@ impl<'w> Engine<'w> {
                                 a.report.stale_applied += 1;
                             }
                         }
-                        self.act_on_outcome(to, group, &outcome, now);
+                        self.act_on_outcome::<M>(to, group, &outcome, now);
                     }
                     Some(_) => {
                         // A retransmission duplicate outlived its episode
@@ -3040,7 +3159,8 @@ impl<'w> Engine<'w> {
                             .get(group)
                             .and_then(|gc| gc.episode.as_ref())
                             .is_some_and(|e| {
-                                e.participants.contains(&to) && !e.acted.contains(&to)
+                                e.participants.binary_search(&to).is_ok()
+                                    && self.acted_in[to] != e.id
                             });
                     if act_pending {
                         self.early_work[to].push((group, ranges));
@@ -3048,7 +3168,7 @@ impl<'w> Engine<'w> {
                         for r in ranges {
                             self.queues[to].push_back(r);
                         }
-                        self.wake_if_idle(to, now);
+                        self.wake_if_idle::<M>(to, now);
                     }
                     return;
                 };
@@ -3058,15 +3178,9 @@ impl<'w> Engine<'w> {
                 }
                 let left = expect.saturating_sub(got);
                 if left == 0 {
-                    if let Some(e) = self
-                        .groups
-                        .get_mut(group)
-                        .and_then(|gc| gc.episode.as_mut())
-                    {
-                        e.waiting_work.remove(&to);
-                    }
-                    self.resume(to, now);
-                    self.maybe_close_episode(group, now);
+                    self.stop_awaiting(group, to);
+                    self.resume::<M>(to, now);
+                    self.maybe_close_episode::<M>(group, now);
                 } else {
                     self.state[to] = ProcState::WaitWork { expect: left };
                 }
@@ -3580,7 +3694,7 @@ mod tests {
             predicted_old: 0.0,
             predicted_new: 0.0,
         });
-        engine.on_deliver(
+        engine.on_deliver::<Live>(
             1,
             Payload::Instruction {
                 group: 0,
@@ -3596,7 +3710,7 @@ mod tests {
         );
         // A current-epoch instruction passes the guard (and is then a
         // no-op only because no episode is open).
-        engine.on_deliver(
+        engine.on_deliver::<Live>(
             1,
             Payload::Instruction {
                 group: 0,
@@ -3645,7 +3759,7 @@ mod tests {
         let mut engine =
             Engine::new(ClusterSpec::dedicated(4), &wl, Some(acfg.initial)).with_adaptive(acfg);
         engine.membership_epoch = 2;
-        engine.on_deliver(1, Payload::Interrupt { group: 0, epoch: 1 }, 0.1);
+        engine.on_deliver::<Live>(1, Payload::Interrupt { group: 0, epoch: 1 }, 0.1);
         let outcome = Arc::new(BalanceOutcome {
             verdict: BalanceVerdict::BelowThreshold,
             new_counts: vec![],
@@ -3654,7 +3768,7 @@ mod tests {
             predicted_old: 0.0,
             predicted_new: 0.0,
         });
-        engine.on_deliver(
+        engine.on_deliver::<Live>(
             1,
             Payload::Instruction {
                 group: 0,
@@ -3670,8 +3784,8 @@ mod tests {
             assert_eq!(rep.stale_applied, 0);
         }
         // Current-epoch messages pass the guard untouched.
-        engine.on_deliver(1, Payload::Interrupt { group: 0, epoch: 2 }, 0.3);
-        engine.on_deliver(
+        engine.on_deliver::<Live>(1, Payload::Interrupt { group: 0, epoch: 2 }, 0.3);
+        engine.on_deliver::<Live>(
             1,
             Payload::Instruction {
                 group: 0,

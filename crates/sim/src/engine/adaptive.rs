@@ -196,7 +196,7 @@ impl<'w> Engine<'w> {
             if !self.active[p] || self.state[p] != ProcState::IdlePending {
                 continue;
             }
-            self.on_out_of_work(p, now);
+            self.on_out_of_work::<Live>(p, now);
             break;
         }
     }
@@ -217,9 +217,9 @@ impl<'w> Engine<'w> {
 
     /// Iterations `m` has finished executing at `now`, independent of
     /// engine mode — the observation-side dual of `logical_remaining`:
-    /// batched execution credits `iters_done` only at block settle points,
+    /// block stepping credits `iters_done` only at block settle points,
     /// so the completed-but-unsettled prefix of a running block must be
-    /// added back for the per-iteration, batched, and episode engines to
+    /// added back for the per-iteration and episode engines to
     /// observe identical rates (and hence take identical switch
     /// decisions).
     fn logical_done(&self, m: usize, now: f64) -> u64 {

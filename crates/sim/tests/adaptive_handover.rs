@@ -6,9 +6,8 @@
 //!   with the machine-checked invariants intact (no mid-episode switch,
 //!   no stale instruction applied, every iteration executed exactly
 //!   once);
-//! * three-mode byte-identity (per-iteration reference vs batched vs
-//!   episode fast-forward) for switching adaptive runs at P=16 and
-//!   P=64;
+//! * byte-identity between the per-iteration reference and the default
+//!   episode engine for switching adaptive runs at P=16 and P=64;
 //! * a property sweep: random crash/rejoin/loss/delay scenarios with
 //!   in-flight Instructions, Profiles, and watchdog retransmissions
 //!   crossing the switch apply none of the old-regime state.
@@ -126,7 +125,7 @@ fn drift_cell_switch_beats_every_static() {
     }
 }
 
-fn assert_three_mode_identity(
+fn assert_mode_identity(
     cluster: &ClusterSpec,
     wl: &dyn LoopWorkload,
     plan: &FaultPlan,
@@ -134,36 +133,31 @@ fn assert_three_mode_identity(
 ) -> RunReport {
     let reference = adaptive_run(cluster, wl, local_first(), plan, EngineMode::PerIter);
     let bytes = serde_json::to_string(&reference).expect("report serializes");
-    for (mode, name) in [
-        (EngineMode::Batched, "batched"),
-        (EngineMode::Episode, "episode"),
-    ] {
-        let other = adaptive_run(cluster, wl, local_first(), plan, mode);
-        let other_bytes = serde_json::to_string(&other).expect("report serializes");
-        assert_eq!(
-            bytes, other_bytes,
-            "{label}: {name} engine diverged from per-iteration reference on an adaptive run"
-        );
-    }
+    let episode = adaptive_run(cluster, wl, local_first(), plan, EngineMode::Episode);
+    assert_eq!(
+        bytes,
+        serde_json::to_string(&episode).expect("report serializes"),
+        "{label}: episode engine diverged from per-iteration reference on an adaptive run"
+    );
     assert_handover_invariants(&reference);
     reference
 }
 
 #[test]
-fn adaptive_three_mode_identity_p16() {
+fn adaptive_mode_identity_p16() {
     let wl = UniformLoop::new(24_000, 0.01, 800);
     let cluster = drift_cluster(16, 12.0);
-    let report = assert_three_mode_identity(&cluster, &wl, &FaultPlan::none(), "P=16");
+    let report = assert_mode_identity(&cluster, &wl, &FaultPlan::none(), "P=16");
     // The identity must cover an actual handover, not a no-op policy.
     let a = report.adaptive.as_ref().unwrap();
     assert!(!a.switches.is_empty(), "P=16 cell must switch: {a:?}");
 }
 
 #[test]
-fn adaptive_three_mode_identity_p64() {
+fn adaptive_mode_identity_p64() {
     let wl = UniformLoop::new(96_000, 0.01, 400);
     let cluster = drift_cluster(64, 8.0);
-    let report = assert_three_mode_identity(&cluster, &wl, &FaultPlan::none(), "P=64");
+    let report = assert_mode_identity(&cluster, &wl, &FaultPlan::none(), "P=64");
     let a = report.adaptive.as_ref().unwrap();
     assert!(!a.switches.is_empty(), "P=64 cell must switch: {a:?}");
 }
@@ -174,7 +168,7 @@ proptest! {
     /// Random crash/rejoin/loss/delay traffic over a switching cell: the
     /// in-flight Instructions, Profiles and watchdog retransmissions that
     /// cross the handover apply no old-regime state, the switch never
-    /// lands inside an open episode, and all three engines agree byte
+    /// lands inside an open episode, and both engine modes agree byte
     /// for byte on the whole run.
     #[test]
     fn handover_applies_no_stale_state_under_faults(
@@ -222,10 +216,8 @@ proptest! {
             prop_assert_eq!(reference.total_iters, iters);
         }
         let bytes = serde_json::to_string(&reference).expect("report serializes");
-        for mode in [EngineMode::Batched, EngineMode::Episode] {
-            let other = adaptive_run(&cluster, &wl, local_first(), &plan, mode);
-            let other_bytes = serde_json::to_string(&other).expect("report serializes");
-            prop_assert_eq!(&bytes, &other_bytes, "mode {:?} diverged under plan {:?}", mode, plan);
-        }
+        let episode = adaptive_run(&cluster, &wl, local_first(), &plan, EngineMode::Episode);
+        let episode_bytes = serde_json::to_string(&episode).expect("report serializes");
+        prop_assert_eq!(&bytes, &episode_bytes, "episode mode diverged under plan {:?}", plan);
     }
 }

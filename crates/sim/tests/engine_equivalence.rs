@@ -1,18 +1,21 @@
-//! Engine-mode equivalence matrix: per-iteration stepping (reference),
-//! batched event-horizon execution, and episode fast-forward must all
-//! produce **byte-identical** `RunReport`s — same serde bytes — for
-//! every run kind (noDLB + the four strategies) under every fault
-//! scenario, on a uniform (MXM) and a non-uniform folded (TRFD loop 2)
-//! workload. This is the matrix the optimized engines' correctness
-//! rests on; CI runs it on every push.
+//! Engine-mode equivalence matrix: per-iteration stepping (the
+//! reference) and the default episode engine (block stepping plus
+//! episode fast-forward) must produce **byte-identical** `RunReport`s —
+//! same serde bytes — for every run kind (noDLB + the four strategies)
+//! under every fault scenario, on a uniform (MXM) and a non-uniform
+//! folded (TRFD loop 2) workload. This is the matrix the episode
+//! engine's correctness rests on; CI runs it on every push. The last
+//! test pins how often the fast-forward engages on the paper's full
+//! P=16 cell, exactly.
 
 use dlb_apps::{MxmConfig, TrfdConfig};
 use dlb_core::strategy::{Strategy, StrategyConfig};
 use dlb_core::work::LoopWorkload;
 use now_fault::{
-    CrashSpec, DelaySpec, FailurePolicy, FaultPlan, LossSpec, PartitionSpec, RecoverSpec, StallSpec,
+    rng, CrashSpec, DelaySpec, FailurePolicy, FaultPlan, LossSpec, PartitionSpec, RecoverSpec,
+    StallSpec,
 };
-use now_sim::{ClusterSpec, Engine, EngineMode, RunReport};
+use now_sim::{ClusterSpec, Engine, EngineCounters, EngineMode, RunReport};
 
 const P: usize = 4;
 const GROUP: usize = 2;
@@ -150,11 +153,6 @@ fn assert_matrix(name: &str, wl: &dyn LoopWorkload, seed: u64) {
     for (pname, plan) in &plans {
         for (cname, cfg) in &cfgs {
             let reference = report_bytes(&cluster, wl, *cfg, plan, EngineMode::PerIter);
-            let batched = report_bytes(&cluster, wl, *cfg, plan, EngineMode::Batched);
-            assert_eq!(
-                reference, batched,
-                "{name} / {cname} / {pname}: batched engine diverged from per-iteration reference"
-            );
             let episode = report_bytes(&cluster, wl, *cfg, plan, EngineMode::Episode);
             assert_eq!(
                 reference, episode,
@@ -193,33 +191,120 @@ fn periodic_sync_equivalence() {
     let reference = run(EngineMode::PerIter);
     assert_eq!(
         reference,
-        run(EngineMode::Batched),
-        "periodic-sync run diverged between modes"
-    );
-    assert_eq!(
-        reference,
         run(EngineMode::Episode),
         "periodic-sync run diverged in episode mode"
     );
 }
 
 #[test]
-fn env_override_selects_reference_path() {
-    // `DLB_ENGINE_MODE=per-iter` must force the reference engine without
-    // touching call sites; `with_mode` is the programmatic override the
-    // bench harness uses. (The env var itself is process-global, so this
-    // test exercises the explicit override only.)
+fn churn_rejoin_regression_cell() {
+    // `chaos_campaign --procs 16 --start 26 --plans 27 --seed 3`, plan 26:
+    // every processor crashes and recovers twice. Processor 15 crashed
+    // mid-iteration 243, and its rejoin admission handed 243 straight
+    // back to it while the pre-crash completion was still on the heap.
+    // The per-iteration reference used to accept that stale completion
+    // (same iteration index) as the new run's, finishing 243 almost
+    // instantly; completions are now stamped with the crash epoch.
+    let p = 16;
+    let wl = MxmConfig::new(400, 400, 400).workload();
+    let cluster = ClusterSpec::paper_homogeneous(p, 0x0DB1_0ADE, 0.5);
+    let t = Engine::new(cluster.clone(), &wl, None).run().total_time;
+    // The campaign's churn generator, at its seed and plan index.
+    let u = |k: u64| rng::unit(3, 26 << 8 | k);
+    let mut plan = FaultPlan::default();
+    for cycle in 0..2u64 {
+        for m in 0..p {
+            let at = t
+                * (0.08
+                    + 0.38 * cycle as f64
+                    + 0.30 * m as f64 / p as f64
+                    + 0.02 * u(cycle << 1 | 1));
+            plan.crashes.push(CrashSpec { proc: m, at });
+            plan.recoveries.push(RecoverSpec {
+                proc: m,
+                at: at + t * (0.02 + 0.02 * u(cycle << 1)),
+            });
+        }
+    }
+    let cfg = Some(StrategyConfig::paper(Strategy::Lddlb, 8));
+    let reference = report_bytes(&cluster, &wl, cfg, &plan, EngineMode::PerIter);
+    let episode = report_bytes(&cluster, &wl, cfg, &plan, EngineMode::Episode);
+    assert_eq!(reference, episode, "churn cell diverged between modes");
+    let report: RunReport = serde_json::from_str(&reference).expect("report parses");
+    assert_eq!(report.stats.syncs, 7);
+    assert_eq!(report.stats.control_messages, 410);
+    assert_eq!(report.total_time, 3.4570790907435724);
+}
+
+#[test]
+fn default_mode_is_the_episode_engine() {
+    // `Engine::new` runs the episode engine unless a harness asks for
+    // the reference with `with_mode`; both give the same report.
     let wl = MxmConfig::new(50, 400, 400).workload();
     let cluster = ClusterSpec::paper_homogeneous(P, 7, 0.25);
-    let a = Engine::new(cluster.clone(), &wl, None)
+    let cfg = Some(StrategyConfig::paper(Strategy::Gddlb, GROUP));
+    let (default_report, default_counters) = Engine::new(cluster.clone(), &wl, cfg).run_counted();
+    let (episode_report, episode_counters) = Engine::new(cluster.clone(), &wl, cfg)
+        .with_mode(EngineMode::Episode)
+        .run_counted();
+    assert_eq!(default_report, episode_report);
+    assert_eq!(default_counters, episode_counters);
+    assert!(default_counters.episodes_fast_forwarded > 0);
+    let reference = Engine::new(cluster, &wl, cfg)
         .with_mode(EngineMode::PerIter)
         .run();
-    let b = Engine::new(cluster.clone(), &wl, None)
-        .with_mode(EngineMode::Batched)
-        .run();
-    assert_eq!(a, b);
-    let c = Engine::new(cluster, &wl, None)
-        .with_mode(EngineMode::Episode)
-        .run();
-    assert_eq!(a, c);
+    assert_eq!(reference, default_report);
+}
+
+/// The full Fig. 6 cell of `engine_bench` (MXM 3200x800x400, P=16,
+/// K=8, the bench's load seed and persistence).
+fn full_cell() -> (ClusterSpec, impl LoopWorkload) {
+    let wl = MxmConfig::new(3200, 800, 400).workload();
+    // `dlb_bench::persistence_for`: the balanced P=4 makespan estimate
+    // over four load epochs.
+    let persistence = (wl.range_cost(0, wl.iterations()) / (4.0 * 0.408) / 4.0).max(1e-3);
+    (
+        ClusterSpec::paper_homogeneous(16, 0x1996_0802, persistence),
+        wl,
+    )
+}
+
+#[test]
+fn fast_forward_engagement_is_pinned_on_the_full_cell() {
+    // Exact episode-mode counters per run kind: total events with their
+    // compute/protocol split, episodes fast-forwarded, and why the rest
+    // fell back. LCDLB and LDDLB each fall back in 4 of 9 episodes on a
+    // cross-group (foreign) event in the window.
+    let (cluster, wl) = full_cell();
+    let pinned: [(&str, Option<Strategy>, [u64; 5]); 5] = [
+        // name, strategy, [events, compute, protocol, ff, foreign]
+        ("noDLB", None, [16, 16, 0, 0, 0]),
+        ("GCDLB", Some(Strategy::Gcdlb), [115, 110, 5, 5, 0]),
+        ("GDDLB", Some(Strategy::Gddlb), [117, 112, 5, 5, 0]),
+        ("LCDLB", Some(Strategy::Lcdlb), [246, 123, 123, 5, 4]),
+        ("LDDLB", Some(Strategy::Lddlb), [434, 120, 314, 5, 4]),
+    ];
+    for (name, strategy, [events, compute, protocol, ff, foreign]) in pinned {
+        let cfg = strategy.map(|s| StrategyConfig::paper(s, 8));
+        let (report, counters) = Engine::new(cluster.clone(), &wl, cfg)
+            .with_mode(EngineMode::Episode)
+            .run_counted();
+        let expected = EngineCounters {
+            events,
+            compute_events: compute,
+            heartbeat_events: 0,
+            protocol_events: protocol,
+            episodes_fast_forwarded: ff,
+            episodes_fallback: foreign,
+            ff_fallback_foreign: foreign,
+            ff_fallback_fault: 0,
+            ff_fallback_delay: 0,
+            ff_fallback_switch: 0,
+        };
+        assert_eq!(counters, expected, "{name}: fast-forward engagement moved");
+        let reference = Engine::new(cluster.clone(), &wl, cfg)
+            .with_mode(EngineMode::PerIter)
+            .run();
+        assert_eq!(report, reference, "{name}: episode engine diverged");
+    }
 }

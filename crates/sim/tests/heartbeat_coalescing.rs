@@ -2,7 +2,7 @@
 //! undetected-crash boundary (what `EngineMode::Episode` does) changes
 //! **nothing observable** — not the detection times, not the sweep
 //! count, not a single byte of the run report — versus ticking the
-//! heartbeat every interval (`EngineMode::Batched`). The coalesced
+//! heartbeat every interval (`EngineMode::PerIter`). The coalesced
 //! engine skips only provably idle ticks, so dead-member detection
 //! latency stays bounded by the heartbeat interval exactly as before.
 
@@ -36,7 +36,7 @@ proptest! {
         // sampled crashes as fractions of it. Keep at least one
         // processor alive per group by construction: crashes target
         // distinct processors drawn from the picks.
-        let horizon = run(EngineMode::Batched, &cluster, &FaultPlan::none()).total_time;
+        let horizon = run(EngineMode::PerIter, &cluster, &FaultPlan::none()).total_time;
         let mut crashes: Vec<CrashSpec> = Vec::new();
         for (i, f) in fracs.iter().enumerate() {
             let proc = proc_picks[i % proc_picks.len()];
@@ -50,7 +50,7 @@ proptest! {
         }
         let plan = FaultPlan { crashes, ..FaultPlan::default() };
 
-        let per_tick = run(EngineMode::Batched, &cluster, &plan);
+        let per_tick = run(EngineMode::PerIter, &cluster, &plan);
         let coalesced = run(EngineMode::Episode, &cluster, &plan);
 
         // Dead-member detection: same processors, same instants, same
