@@ -88,75 +88,6 @@ impl MxmConfig {
     }
 }
 
-/// Real MXM kernel data: deterministic matrices, row-wise computation.
-#[derive(Debug, Clone)]
-pub struct MxmData {
-    cfg: MxmConfig,
-    /// `X`, row-major `r × r2`.
-    pub x: Vec<f64>,
-    /// `Y`, row-major `r2 × c`.
-    pub y: Vec<f64>,
-}
-
-impl MxmData {
-    /// Deterministically filled inputs (value depends only on indices), so
-    /// any distribution of the work yields the same result.
-    pub fn new(cfg: MxmConfig) -> Self {
-        let x = (0..cfg.r * cfg.r2)
-            .map(|idx| {
-                let (i, k) = (idx / cfg.r2, idx % cfg.r2);
-                ((i * 31 + k * 17) % 97) as f64 / 97.0
-            })
-            .collect();
-        let y = (0..cfg.r2 * cfg.c)
-            .map(|idx| {
-                let (k, j) = (idx / cfg.c, idx % cfg.c);
-                ((k * 13 + j * 7) % 89) as f64 / 89.0
-            })
-            .collect();
-        Self { cfg, x, y }
-    }
-
-    pub fn config(&self) -> MxmConfig {
-        self.cfg
-    }
-
-    /// Compute one row of `Z` (one loop iteration): `z[j] = Σ_k X[i,k]·Y[k,j]`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    pub fn compute_row(&self, i: u64) -> Vec<f64> {
-        assert!(i < self.cfg.r, "row {i} out of range");
-        let (c, r2) = (self.cfg.c as usize, self.cfg.r2 as usize);
-        let xrow = &self.x[(i as usize) * r2..(i as usize + 1) * r2];
-        let mut z = vec![0.0f64; c];
-        for (k, &xv) in xrow.iter().enumerate() {
-            let yrow = &self.y[k * c..(k + 1) * c];
-            for (zj, &yv) in z.iter_mut().zip(yrow) {
-                *zj += xv * yv;
-            }
-        }
-        z
-    }
-
-    /// Sequential reference: checksum of the full product (sum of all
-    /// entries of `Z`, plus an index-weighted component to catch row
-    /// permutation bugs).
-    pub fn sequential_checksum(&self) -> f64 {
-        (0..self.cfg.r)
-            .map(|i| Self::row_checksum(i, &self.compute_row(i)))
-            .sum()
-    }
-
-    /// Checksum contribution of row `i` with contents `z` — sum over rows
-    /// must equal [`MxmData::sequential_checksum`] regardless of who
-    /// computed which rows.
-    pub fn row_checksum(i: u64, z: &[f64]) -> f64 {
-        let s: f64 = z.iter().sum();
-        s * (1.0 + (i as f64) * 1e-6)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,59 +124,5 @@ mod tests {
         assert_eq!(y.bytes_per_iteration(), 0);
         // Only X travels.
         assert_eq!(dlb_core::arrays::bytes_per_iteration(&arrays), 3200);
-    }
-
-    #[test]
-    fn kernel_row_matches_naive_product() {
-        let data = MxmData::new(MxmConfig::new(8, 5, 6));
-        let z2 = data.compute_row(2);
-        for (j, &got) in z2.iter().enumerate() {
-            let mut want = 0.0;
-            for k in 0..6usize {
-                want += data.x[2 * 6 + k] * data.y[k * 5 + j];
-            }
-            assert!((got - want).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn checksum_is_order_independent() {
-        let data = MxmData::new(MxmConfig::new(16, 8, 8));
-        let forward: f64 = (0..16)
-            .map(|i| MxmData::row_checksum(i, &data.compute_row(i)))
-            .sum();
-        let backward: f64 = (0..16)
-            .rev()
-            .map(|i| MxmData::row_checksum(i, &data.compute_row(i)))
-            .sum();
-        assert!((forward - backward).abs() < 1e-9);
-        assert!((forward - data.sequential_checksum()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn checksum_detects_row_swap() {
-        let data = MxmData::new(MxmConfig::new(4, 4, 4));
-        let honest = data.sequential_checksum();
-        // Attribute row 1's contents to row 2 and vice versa.
-        let mut swapped = 0.0;
-        for i in 0..4u64 {
-            let src = match i {
-                1 => 2,
-                2 => 1,
-                other => other,
-            };
-            swapped += MxmData::row_checksum(i, &data.compute_row(src));
-        }
-        assert!(
-            (honest - swapped).abs() > 1e-9,
-            "checksum must be index-sensitive"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn row_out_of_range_rejected() {
-        let data = MxmData::new(MxmConfig::new(4, 4, 4));
-        let _ = data.compute_row(4);
     }
 }

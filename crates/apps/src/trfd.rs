@@ -12,10 +12,9 @@
 //! folding ([`dlb_core::FoldedLoop`]), combining iterations `i` and
 //! `n(n+1)/2 − i + 1`.
 //!
-//! The real kernel here is a synthetic re-implementation of that documented
-//! structure (the Perfect source is not redistributable): each iteration
-//! performs its documented operation count as floating-point sweeps over
-//! its column(s). See DESIGN.md, S8.
+//! The Perfect source is not redistributable, so the model follows that
+//! documented structure: each iteration costs its documented operation
+//! count. See DESIGN.md, S8.
 
 use crate::calibrate::ops_to_seconds;
 use dlb_core::arrays::{DataDistribution, DlbArray};
@@ -120,100 +119,6 @@ impl TrfdConfig {
     }
 }
 
-/// Synthetic TRFD kernel: columns of a deterministic `msize × msize`
-/// matrix, transformed in two loop nests with the documented operation
-/// counts, with a sequential transpose in between.
-#[derive(Debug, Clone)]
-pub struct TrfdData {
-    cfg: TrfdConfig,
-    /// Column-major `msize × msize` matrix (column `j` is contiguous).
-    pub m: Vec<f64>,
-}
-
-impl TrfdData {
-    pub fn new(cfg: TrfdConfig) -> Self {
-        let s = cfg.msize();
-        let m = (0..s * s)
-            .map(|idx| {
-                let (j, i) = (idx / s, idx % s);
-                ((i * 23 + j * 41) % 101) as f64 / 101.0
-            })
-            .collect();
-        Self { cfg, m }
-    }
-
-    pub fn config(&self) -> TrfdConfig {
-        self.cfg
-    }
-
-    fn column(&self, j: u64) -> &[f64] {
-        let s = self.cfg.msize() as usize;
-        &self.m[(j as usize) * s..(j as usize + 1) * s]
-    }
-
-    /// One loop-1 iteration: transform column `j`, performing
-    /// `≈ loop1_ops` floating-point operations (≈ `2n + 4` passes over the
-    /// column, the paper's "linear in the array size" figure).
-    pub fn loop1_column(&self, j: u64) -> Vec<f64> {
-        self.sweep_column(self.column(j), self.cfg.loop1_ops(), j)
-    }
-
-    /// One *folded* loop-2 iteration `k`: transforms the two constituent
-    /// columns `k` and `msize-1-k` with their respective op counts and
-    /// returns them (second is `None` for the odd middle).
-    pub fn loop2_folded_columns(&self, k: u64) -> (Vec<f64>, Option<Vec<f64>>) {
-        let s = self.cfg.msize();
-        let a = k;
-        let b = s - 1 - k;
-        let ca = self.sweep_column(self.column(a), self.cfg.loop2_ops(a), a);
-        if a == b {
-            (ca, None)
-        } else {
-            let cb = self.sweep_column(self.column(b), self.cfg.loop2_ops(b), b);
-            (ca, Some(cb))
-        }
-    }
-
-    /// A deterministic compute sweep performing `ops` floating-point
-    /// operations over a column (2 flops per element per pass).
-    fn sweep_column(&self, col: &[f64], ops: f64, j: u64) -> Vec<f64> {
-        let mut v = col.to_vec();
-        let passes = ((ops / (2.0 * v.len() as f64)).ceil() as u64).max(1);
-        let scale = 1.0 + 1.0 / (j as f64 + 2.0) * 1e-3;
-        for p in 0..passes {
-            let add = ((p % 7) as f64 - 3.0) * 1e-6;
-            for x in v.iter_mut() {
-                *x = *x * scale + add;
-            }
-        }
-        v
-    }
-
-    /// In-place sequential transpose (performed by the master between the
-    /// loops).
-    pub fn transpose(&mut self) {
-        let s = self.cfg.msize() as usize;
-        for j in 0..s {
-            for i in (j + 1)..s {
-                self.m.swap(j * s + i, i * s + j);
-            }
-        }
-    }
-
-    /// Order-independent checksum contribution of a transformed column.
-    pub fn column_checksum(j: u64, col: &[f64]) -> f64 {
-        let s: f64 = col.iter().sum();
-        s * (1.0 + (j as f64) * 1e-6)
-    }
-
-    /// Sequential reference for loop 1: all columns transformed serially.
-    pub fn loop1_sequential_checksum(&self) -> f64 {
-        (0..self.cfg.msize())
-            .map(|j| Self::column_checksum(j, &self.loop1_column(j)))
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,40 +183,13 @@ mod tests {
     }
 
     #[test]
-    fn kernel_checksum_order_independent() {
-        let data = TrfdData::new(TrfdConfig::new(5));
-        let fwd: f64 = (0..data.config().msize())
-            .map(|j| TrfdData::column_checksum(j, &data.loop1_column(j)))
-            .sum();
-        let bwd: f64 = (0..data.config().msize())
-            .rev()
-            .map(|j| TrfdData::column_checksum(j, &data.loop1_column(j)))
-            .sum();
-        assert!((fwd - bwd).abs() < 1e-9);
-        assert!((fwd - data.loop1_sequential_checksum()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn transpose_is_involution() {
-        let mut data = TrfdData::new(TrfdConfig::new(4));
-        let orig = data.m.clone();
-        data.transpose();
-        assert_ne!(data.m, orig, "transpose must change a non-symmetric matrix");
-        data.transpose();
-        assert_eq!(data.m, orig);
-    }
-
-    #[test]
-    fn folded_kernel_covers_all_columns() {
-        let data = TrfdData::new(TrfdConfig::new(4)); // msize = 10
-        let wl = data.config().loop2_workload();
+    fn folded_loop2_covers_all_columns() {
+        let wl = TrfdConfig::new(4).loop2_workload(); // msize = 10
         let mut seen = [false; 10];
         for k in 0..wl.iterations() {
             let (a, b) = wl.constituents(k);
             seen[a as usize] = true;
             seen[b as usize] = true;
-            let (_, cb) = data.loop2_folded_columns(k);
-            assert_eq!(cb.is_some(), a != b);
         }
         assert!(seen.iter().all(|&s| s));
     }

@@ -67,7 +67,6 @@ fn local_first() -> AdaptiveConfig {
         min_episodes_between: 2,
         ..AdaptiveConfig::paper(Strategy::Lddlb, 2)
     }
-    .with_env()
 }
 
 #[derive(Debug, Serialize)]
@@ -203,7 +202,7 @@ fn control_cell() -> bool {
     // re-decision keeps confirming the incumbent inside hysteresis.
     let mut cluster = ClusterSpec::dedicated(8);
     cluster.loads[7] = LoadSpec::Constant { level: 3 };
-    let acfg = AdaptiveConfig::paper(Strategy::Gddlb, 2).with_env();
+    let acfg = AdaptiveConfig::paper(Strategy::Gddlb, 2);
     let (adaptive, _) = run_spec(
         &RunSpec::new(wl.clone(), cluster.clone(), RunKind::Adaptive { cfg: acfg })
             .with_mode(EngineMode::Episode),

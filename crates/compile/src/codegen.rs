@@ -13,7 +13,7 @@ use std::sync::Arc;
 pub const DEFAULT_OPS_PER_SEC: f64 = 5.0e6;
 
 /// A balanced loop bound to concrete parameter values: ready to run on the
-/// simulator or the threaded runtime.
+/// simulator.
 pub struct BoundLoop {
     /// Balanced index variable.
     pub var: String,

@@ -21,13 +21,13 @@
 //! The pipeline:
 //!
 //! 1. [`lexer`] / [`parser`] — source → AST ([`ast`]);
-//! 2. [`analyze`] — semantic checks plus the *symbolic cost functions* the
+//! 2. [`mod@analyze`] — semantic checks plus the *symbolic cost functions* the
 //!    model needs: basic operations per iteration of each balanced loop
 //!    (`W_ij`, counted from the statement operators times the inner trip
 //!    counts) and data communication per moved iteration (`DC_a`, from
 //!    the distribution annotations);
 //! 3. triangular loops (inner bounds referencing the balanced index) are
-//!    detected and — as in the paper ([4], used for TRFD's second loop) —
+//!    detected and — as in the paper (\[4\], used for TRFD's second loop) —
 //!    made uniform by **bitonic folding**;
 //! 4. [`codegen`] — emits (a) an executable [`codegen::BoundLoop`] (a
 //!    `dlb_core::LoopWorkload` plus `DlbArray` descriptors) once the

@@ -121,11 +121,6 @@ impl Distribution {
         debug_assert!(diff.is_multiple_of(2), "total must be conserved");
         diff / 2
     }
-
-    /// Mutable access for the runtimes (decrement as iterations execute).
-    pub fn counts_mut(&mut self) -> &mut [u64] {
-        &mut self.counts
-    }
 }
 
 #[cfg(test)]

@@ -2,9 +2,8 @@
 //!
 //! This crate implements the four interrupt-based, receiver-initiated
 //! dynamic load balancing strategies of Zaki, Li & Parthasarathy (HPDC'96)
-//! as **transport-independent** building blocks: the same code drives the
-//! discrete-event simulator (`now-sim`) and the threaded message-passing
-//! runtime (`pvm-rt`).
+//! as transport-independent building blocks, driven by the discrete-event
+//! simulator (`now-sim`), which owns the protocol's message timing.
 //!
 //! # The four strategies
 //!
@@ -28,18 +27,14 @@
 //!    synchronization point — to the balancer (master) or to everyone
 //!    (distributed).
 //! 3. The balancer computes the **new distribution**
-//!    ([`balance::compute_new_distribution`], eq. 3 of the paper)
+//!    ([`Distribution::proportional`], eq. 3 of the paper)
 //!    proportional to each processor's average effective speed, checks the
 //!    **minimum-work threshold** and the **profitability analysis**
-//!    ([`balance::profitability`], ≥ 10 % predicted improvement, movement
+//!    ([`balance::balance_group`], ≥ 10 % predicted improvement, movement
 //!    cost excluded by default per Section 3.4), and plans the **work
 //!    transfers** ([`moveplan`]).
 //! 4. Senders ship iterations *and the associated array rows*
 //!    ([`arrays::DlbArray`]) directly to receivers.
-//!
-//! [`sync::plan_sync`] assembles one whole synchronization episode into a
-//! [`sync::SyncScript`] — a causal list of logical messages — which a
-//! transport executes with real (or simulated) message timings.
 
 pub mod arrays;
 pub mod balance;
@@ -53,7 +48,6 @@ pub mod profile;
 pub mod recovery;
 pub mod stats;
 pub mod strategy;
-pub mod sync;
 pub mod work;
 pub mod workqueue;
 
@@ -69,6 +63,5 @@ pub use profile::PerfProfile;
 pub use recovery::split_ranges;
 pub use stats::DlbStats;
 pub use strategy::{AdaptiveConfig, Control, Scope, Strategy, StrategyConfig};
-pub use sync::{plan_sync, LogicalMsg, MsgKind, SyncScript};
 pub use work::{CostFnLoop, FoldedLoop, LoopWorkload, UniformLoop};
 pub use workqueue::WorkQueue;

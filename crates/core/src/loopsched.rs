@@ -2,9 +2,9 @@
 //! paper).
 //!
 //! The paper positions its DLB schemes against the central-task-queue
-//! family: **self-scheduling** [22], **fixed-size chunking** [10],
-//! **guided self-scheduling** [18], **factoring** [9] and **trapezoid
-//! self-scheduling** [23]. Each is a rule for how many iterations an idle
+//! family: **self-scheduling** \[22\], **fixed-size chunking** \[10\],
+//! **guided self-scheduling** \[18\], **factoring** \[9\] and **trapezoid
+//! self-scheduling** \[23\]. Each is a rule for how many iterations an idle
 //! processor grabs from a central queue. This module implements the
 //! chunk-size rules; `now_sim::taskqueue` executes them on the simulated
 //! NOW (each grab costs a request/reply round trip to the master), so the

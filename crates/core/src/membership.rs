@@ -5,9 +5,8 @@
 //! failure-aware protocol relaxes that: a member declared dead is
 //! excluded from every later distribution, and if the dead member held
 //! the central balancer role the lowest-numbered surviving processor is
-//! promoted. This tracker owns that bookkeeping; it is
-//! transport-independent so both the simulator and the threaded runtime
-//! can drive it.
+//! promoted. This tracker owns that bookkeeping, independent of the
+//! simulator that drives it.
 //!
 //! At paper scale (P=4/16) a full scan per query is free; at P=4096 it
 //! dominates per-event work. The tracker therefore maintains the death

@@ -46,7 +46,7 @@ impl PerfProfile {
     }
 
     /// On-the-wire size of a profile message in bytes (id + three 8-byte
-    /// fields), used by the transports to cost the sends.
+    /// fields), used by the simulator to cost the sends.
     pub const WIRE_BYTES: usize = 32;
 }
 

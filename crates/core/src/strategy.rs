@@ -169,26 +169,6 @@ impl StrategyConfig {
         self
     }
 
-    /// Apply the `DLB_GROUP_DEPTH` / `DLB_GROUP_FANOUT` environment
-    /// knobs, if set. Callers apply this **before** building a
-    /// `RunSpec`, never inside the engine — the resolved values must be
-    /// part of the spec so memo keys stay content-addressed.
-    pub fn with_hierarchy_from_env(mut self) -> Self {
-        let read = |name: &str| {
-            std::env::var(name).ok().map(|v| {
-                v.parse::<usize>()
-                    .unwrap_or_else(|_| panic!("{name} must be a positive integer, got {v:?}"))
-            })
-        };
-        if let Some(d) = read("DLB_GROUP_DEPTH") {
-            self.group_depth = d;
-        }
-        if let Some(f) = read("DLB_GROUP_FANOUT") {
-            self.group_fanout = f;
-        }
-        self
-    }
-
     /// The group tree this configuration induces over `leaf_groups`
     /// leaf groups, or `None` for the flat paper layout.
     pub fn hierarchy(&self, leaf_groups: usize) -> Option<crate::hierarchy::GroupTree> {
@@ -316,34 +296,6 @@ impl AdaptiveConfig {
             min_episodes_between: 2,
             window: 4,
         }
-    }
-
-    /// Apply the `DLB_ADAPTIVE_HYSTERESIS` / `DLB_ADAPTIVE_MIN_EPISODES`
-    /// / `DLB_ADAPTIVE_WINDOW` environment knobs, if set. Callers apply
-    /// this **before** building a `RunSpec`, never inside the engine —
-    /// the resolved values must be part of the spec so memo keys stay
-    /// content-addressed.
-    pub fn with_env(mut self) -> Self {
-        if let Some(h) = std::env::var("DLB_ADAPTIVE_HYSTERESIS").ok().map(|v| {
-            v.parse::<f64>().unwrap_or_else(|_| {
-                panic!("DLB_ADAPTIVE_HYSTERESIS must be a number in [0,1), got {v:?}")
-            })
-        }) {
-            self.hysteresis = h;
-        }
-        let read = |name: &str| {
-            std::env::var(name).ok().map(|v| {
-                v.parse::<u32>()
-                    .unwrap_or_else(|_| panic!("{name} must be a positive integer, got {v:?}"))
-            })
-        };
-        if let Some(m) = read("DLB_ADAPTIVE_MIN_EPISODES") {
-            self.min_episodes_between = m;
-        }
-        if let Some(w) = read("DLB_ADAPTIVE_WINDOW") {
-            self.window = w;
-        }
-        self
     }
 
     /// Validate ranges; called by runtimes before a run.

@@ -149,7 +149,7 @@ impl LoopWorkload for CostFnLoop {
     }
 }
 
-/// Bitonic folding of a triangular loop ([4] in the paper, used by TRFD's
+/// Bitonic folding of a triangular loop (\[4\] in the paper, used by TRFD's
 /// second loop nest): iteration `i` is combined with iteration `n-1-i`
 /// into one, so a linearly decreasing cost profile becomes (near-)uniform.
 /// For an odd iteration count the middle iteration stands alone.

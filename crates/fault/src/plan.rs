@@ -284,18 +284,6 @@ impl FaultPlan {
             .min_by(f64::total_cmp)
     }
 
-    /// Recovery times for `proc`, sorted ascending.
-    pub fn recoveries_for(&self, proc: usize) -> Vec<f64> {
-        let mut out: Vec<f64> = self
-            .recoveries
-            .iter()
-            .filter(|r| r.proc == proc)
-            .map(|r| r.at)
-            .collect();
-        out.sort_by(f64::total_cmp);
-        out
-    }
-
     /// Is the directed link `from → to` cut at `time`? Self-sends are
     /// never cut (a partition separates machines, not a machine from
     /// itself).

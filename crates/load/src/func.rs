@@ -95,8 +95,8 @@ impl<T: LoadFunction + ?Sized> LoadFunction for Arc<T> {
 /// new level is drawn uniformly from `0..=m_l`, independently per processor.
 ///
 /// Levels are produced by hashing `(seed, interval)` so queries are O(1),
-/// order-independent, and identical across the simulator, the analytic model
-/// and the threaded runtime.
+/// order-independent, and identical across the simulator and the analytic
+/// model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DiscreteRandomLoad {
     seed: u64,

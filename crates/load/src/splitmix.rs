@@ -1,8 +1,8 @@
 //! SplitMix64: a tiny, fast, high-quality 64-bit mixing function.
 //!
-//! Load levels must be random-accessible: the simulator, the analytic model
-//! and the threaded runtime all query `ℓ_i(k)` for arbitrary interval
-//! indices `k`, in arbitrary order, and must see the *same* load function.
+//! Load levels must be random-accessible: the simulator and the analytic
+//! model both query `ℓ_i(k)` for arbitrary interval indices `k`, in
+//! arbitrary order, and must see the *same* load function.
 //! A stateful RNG would force sequential generation; instead each level is
 //! produced by hashing `(seed, k)` through SplitMix64, which is stateless
 //! and O(1) per query.

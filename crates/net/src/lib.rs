@@ -16,8 +16,9 @@
 //!   all-to-all cost grows superlinearly in P), on a switched fabric only
 //!   each node's own port serializes;
 //! * [`patterns`] — the three collective patterns executed on the simulated
-//!   medium, plus closed-form approximations used as cross-checks;
-//! * [`polyfit`] — least-squares polynomial fitting (normal equations +
+//!   medium, plus a closed-form shared-bus approximation used as a
+//!   cross-check;
+//! * [`mod@polyfit`] — least-squares polynomial fitting (normal equations +
 //!   Gaussian elimination, from scratch);
 //! * [`charact`] — the off-line characterization pass: measure the patterns
 //!   for a range of processor counts, fit polynomials, and hand the fitted

@@ -13,12 +13,12 @@
 //!   the `P` senders; the wire does not).
 //!
 //! [`measure_pattern`] *executes* a pattern on the [`MediumSim`] arbiter
-//! and reports its completion time (last delivery). The `approx_*` closed
-//! forms document the expected asymptotics and cross-check the simulation
-//! in tests.
+//! and reports its completion time (last delivery). The
+//! [`approx_shared_bus`] closed form documents the expected asymptotics
+//! and cross-checks the simulation in tests.
 
 use crate::medium::MediumSim;
-use crate::params::{MediumKind, NetworkParams};
+use crate::params::NetworkParams;
 use serde::{Deserialize, Serialize};
 
 /// A collective communication pattern over `n` processors.
@@ -111,30 +111,10 @@ pub fn approx_shared_bus(params: &NetworkParams, pattern: Pattern, n: usize, byt
     }
 }
 
-/// Closed-form approximation on a switch (no shared wire).
-pub fn approx_switched(params: &NetworkParams, pattern: Pattern, n: usize, bytes: usize) -> f64 {
-    let m = (n - 1) as f64;
-    let frame = params.frame_time(bytes);
-    match pattern {
-        Pattern::OneToAll => m * params.send_overhead + frame + params.recv_overhead,
-        Pattern::AllToOne => params.send_overhead + frame + m * params.recv_overhead,
-        Pattern::AllToAll => {
-            m * params.send_overhead.max(params.recv_overhead) + frame + params.recv_overhead
-        }
-    }
-}
-
-/// Convenience: approximate cost for the configured medium kind.
-pub fn approx_cost(params: &NetworkParams, pattern: Pattern, n: usize, bytes: usize) -> f64 {
-    match params.medium {
-        MediumKind::SharedBus => approx_shared_bus(params, pattern, n, bytes),
-        MediumKind::Switched => approx_switched(params, pattern, n, bytes),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::MediumKind;
 
     fn eth() -> NetworkParams {
         NetworkParams::paper_ethernet()

@@ -14,7 +14,7 @@
 //!   stored boundary and reschedules the remainder.
 //! * **Episode fast-forward.** A sync episode whose window holds no
 //!   fault and no foreign event runs through the protocol handlers
-//!   below in a private replay (see `ff.rs` and the [`Seam`] trait) and
+//!   below in a private replay (see `ff.rs` and the `Seam` trait) and
 //!   is committed as one `EpisodeDone` event.
 //!
 //! The DLB protocol runs exactly as in Section 3:
@@ -69,6 +69,41 @@ const INTERRUPT_BYTES: usize = 8;
 const INSTRUCTION_BYTES: usize = 24;
 /// Rejoin handshake (§S14 request/grant) payload bytes.
 const JOIN_BYTES: usize = 16;
+
+/// Σi and Σi² over executed iteration indices. Together with the
+/// iteration count they catch a run that executes one iteration twice
+/// and loses another, which the count alone accepts.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct IndexSums {
+    sum: u128,
+    sum_sq: u128,
+}
+
+impl IndexSums {
+    /// The sums over `0..n`, in closed form.
+    fn prefix(n: u64) -> Self {
+        let n = u128::from(n);
+        if n == 0 {
+            return Self::default();
+        }
+        Self {
+            sum: n * (n - 1) / 2,
+            sum_sq: (n - 1) * n * (2 * n - 1) / 6,
+        }
+    }
+
+    fn add(&mut self, i: u64) {
+        let i = u128::from(i);
+        self.sum += i;
+        self.sum_sq += i * i;
+    }
+
+    fn add_range(&mut self, r: &Range<u64>) {
+        let (lo, hi) = (Self::prefix(r.start), Self::prefix(r.end));
+        self.sum += hi.sum - lo.sum;
+        self.sum_sq += hi.sum_sq - lo.sum_sq;
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Payload {
@@ -656,6 +691,9 @@ pub struct Engine<'w> {
     /// `iters_done.iter().sum()`, maintained incrementally — the rejoin
     /// retry chain consults it every heartbeat interval.
     total_iters_done: u64,
+    /// Index sums over every executed iteration, checked against `0..N`
+    /// when the run ends.
+    executed: IndexSums,
     work_done: Vec<f64>,
     finished_at: Vec<f64>,
 
@@ -861,6 +899,7 @@ impl<'w> Engine<'w> {
             window_iters: vec![0; p],
             iters_done: vec![0; p],
             total_iters_done: 0,
+            executed: IndexSums::default(),
             work_done: vec![0.0; p],
             finished_at: vec![0.0; p],
             groups,
@@ -993,6 +1032,11 @@ impl<'w> Engine<'w> {
             done,
             self.workload.iterations(),
             self.state
+        );
+        assert_eq!(
+            self.executed,
+            IndexSums::prefix(self.workload.iterations()),
+            "iteration index sums differ from 0..N: an iteration ran twice and another never ran"
         );
         // Finalize rejoin records: post-admission iteration counts are
         // only known once the run ends.
@@ -1380,6 +1424,9 @@ impl<'w> Engine<'w> {
         self.total_iters_done += k;
         let taken = self.queues[proc].take_front(k);
         debug_assert_eq!(ranges_len(&taken), k, "queue must cover the settled prefix");
+        for r in &taken {
+            self.executed.add_range(r);
+        }
         self.finished_at[proc] = finished;
         self.blocks[proc]
             .as_mut()
@@ -1524,6 +1571,7 @@ impl<'w> Engine<'w> {
         self.window_iters[proc] += 1;
         self.iters_done[proc] += 1;
         self.total_iters_done += 1;
+        self.executed.add(iter);
         self.work_done[proc] += self.workload.iter_cost(iter);
         self.finished_at[proc] = now;
         self.at_boundary::<Live>(proc, now);
@@ -3054,12 +3102,21 @@ impl<'w> Engine<'w> {
                 // an old-regime profile can never match a post-switch
                 // episode; `get` covers a group index that a §S17 switch
                 // dropped from the group list entirely.
-                if self
+                let Some(ep) = self
                     .groups
                     .get(group)
                     .and_then(|gc| gc.episode.as_ref())
-                    .map(|e| e.id)
-                    != Some(episode)
+                    .filter(|e| e.id == episode)
+                else {
+                    return;
+                };
+                // A profile broadcast before its sender's death was
+                // handled can land after the membership shrink removed
+                // the sender (or, distributed, the receiver) from the
+                // episode. Recording it would plan transfers to or from
+                // a non-participant, which never acts on them.
+                let member = |p: usize| ep.participants.binary_search(&p).is_ok();
+                if !member(profile.proc) || (self.control() == Control::Distributed && !member(to))
                 {
                     return;
                 }

@@ -269,6 +269,14 @@ impl<'w> Engine<'w> {
             }
         }
         let max_rate = rates.iter().fold(0.0_f64, |acc, &r| acc.max(r));
+        if max_rate == 0.0 {
+            // No live processor finished an iteration this window: every
+            // rate would sit on the floor, and the model's round count
+            // would not stay bounded. Keep measuring and retry at a later
+            // boundary.
+            a.report.deferred += 1;
+            return false;
+        }
         let floor = (max_rate * REL_RATE_FLOOR).max(RATE_FLOOR);
         for r in &mut rates {
             *r = r.max(floor);

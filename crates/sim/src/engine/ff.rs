@@ -208,6 +208,7 @@ struct Saved {
 #[derive(Debug, Default, Clone, Copy)]
 struct SavedGlobals {
     total_iters_done: u64,
+    executed: IndexSums,
     role_busy: f64,
     host_finished_at: f64,
     stats: DlbStats,
@@ -386,6 +387,7 @@ impl<'w> Engine<'w> {
         s.closed = None;
         s.globals = SavedGlobals {
             total_iters_done: self.total_iters_done,
+            executed: self.executed,
             role_busy: self.role_busy[s.role],
             host_finished_at: self.finished_at[s.host],
             stats: self.stats,
@@ -623,6 +625,7 @@ impl<'w> Engine<'w> {
         }
         let v = s.globals;
         self.total_iters_done = v.total_iters_done;
+        self.executed = v.executed;
         self.role_busy[s.role] = v.role_busy;
         self.finished_at[s.host] = v.host_finished_at;
         self.stats = v.stats;

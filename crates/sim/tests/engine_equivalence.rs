@@ -9,7 +9,7 @@
 //! P=16 cell, exactly.
 
 use dlb_apps::{MxmConfig, TrfdConfig};
-use dlb_core::strategy::{Strategy, StrategyConfig};
+use dlb_core::strategy::{AdaptiveConfig, Strategy, StrategyConfig};
 use dlb_core::work::LoopWorkload;
 use now_fault::{
     rng, CrashSpec, DelaySpec, FailurePolicy, FaultPlan, LossSpec, PartitionSpec, RecoverSpec,
@@ -196,21 +196,11 @@ fn periodic_sync_equivalence() {
     );
 }
 
-#[test]
-fn churn_rejoin_regression_cell() {
-    // `chaos_campaign --procs 16 --start 26 --plans 27 --seed 3`, plan 26:
-    // every processor crashes and recovers twice. Processor 15 crashed
-    // mid-iteration 243, and its rejoin admission handed 243 straight
-    // back to it while the pre-crash completion was still on the heap.
-    // The per-iteration reference used to accept that stale completion
-    // (same iteration index) as the new run's, finishing 243 almost
-    // instantly; completions are now stamped with the crash epoch.
-    let p = 16;
-    let wl = MxmConfig::new(400, 400, 400).workload();
-    let cluster = ClusterSpec::paper_homogeneous(p, 0x0DB1_0ADE, 0.5);
-    let t = Engine::new(cluster.clone(), &wl, None).run().total_time;
-    // The campaign's churn generator, at its seed and plan index.
-    let u = |k: u64| rng::unit(3, 26 << 8 | k);
+/// The chaos generators' churn plan: every processor crashes and
+/// recovers twice, in staggered short outages, drawn from `seed` at plan
+/// `index` and scaled to the fault-free horizon `t`.
+fn churn_plan(seed: u64, index: u64, t: f64, p: usize) -> FaultPlan {
+    let u = |k: u64| rng::unit(seed, index << 8 | k);
     let mut plan = FaultPlan::default();
     for cycle in 0..2u64 {
         for m in 0..p {
@@ -226,14 +216,94 @@ fn churn_rejoin_regression_cell() {
             });
         }
     }
-    let cfg = Some(StrategyConfig::paper(Strategy::Lddlb, 8));
-    let reference = report_bytes(&cluster, &wl, cfg, &plan, EngineMode::PerIter);
-    let episode = report_bytes(&cluster, &wl, cfg, &plan, EngineMode::Episode);
-    assert_eq!(reference, episode, "churn cell diverged between modes");
+    plan
+}
+
+/// One churn cell at P=16 on MXM 400x400x400, run in both engine modes:
+/// the reports must agree byte for byte and account for every iteration.
+fn assert_churn_cell(
+    label: &str,
+    cluster: &ClusterSpec,
+    plan: &FaultPlan,
+    cfg: StrategyConfig,
+    adaptive: Option<AdaptiveConfig>,
+) -> RunReport {
+    let wl = MxmConfig::new(400, 400, 400).workload();
+    let run = |mode: EngineMode| {
+        let mut engine = Engine::new(cluster.clone(), &wl, Some(cfg))
+            .with_mode(mode)
+            .with_faults(plan.clone(), FailurePolicy::default());
+        if let Some(a) = adaptive {
+            engine = engine.with_adaptive(a);
+        }
+        serde_json::to_string(&engine.run()).expect("report serializes")
+    };
+    let reference = run(EngineMode::PerIter);
+    assert_eq!(
+        reference,
+        run(EngineMode::Episode),
+        "{label}: diverged between modes"
+    );
     let report: RunReport = serde_json::from_str(&reference).expect("report parses");
+    assert_eq!(report.total_iters, 400, "{label}: iterations lost");
+    report
+}
+
+#[test]
+fn churn_rejoin_regression_cell() {
+    let p = 16;
+    let wl = MxmConfig::new(400, 400, 400).workload();
+    let horizon = |cluster: &ClusterSpec| Engine::new(cluster.clone(), &wl, None).run().total_time;
+
+    // `chaos_campaign --procs 16 --start 26 --plans 27 --seed 3`, plan 26.
+    // Processor 15 crashed mid-iteration 243, and its rejoin admission
+    // handed 243 straight back to it while the pre-crash completion was
+    // still on the heap. The per-iteration reference used to accept that
+    // stale completion (same iteration index) as the new run's,
+    // finishing 243 almost instantly; completions are now stamped with
+    // the crash epoch.
+    let cluster = ClusterSpec::paper_homogeneous(p, 0x0DB1_0ADE, 0.5);
+    let plan = churn_plan(3, 26, horizon(&cluster), p);
+    let cfg = StrategyConfig::paper(Strategy::Lddlb, 8);
+    let report = assert_churn_cell("campaign seed 3 plan 26", &cluster, &plan, cfg, None);
     assert_eq!(report.stats.syncs, 7);
     assert_eq!(report.stats.control_messages, 410);
     assert_eq!(report.total_time, 3.4570790907435724);
+
+    // The benchmark's chaos workload draws one cluster per plan.
+    let chaos_cluster = |seed: u64, index: u64| {
+        ClusterSpec::paper_homogeneous(p, rng::mix(seed ^ 0x0DB1_0ADE ^ index), 0.5)
+    };
+
+    // Chaos seed 3, plan 8, GDDLB: profiles a member broadcast before its
+    // death was handled landed after the membership shrink removed it,
+    // re-entered the balancers' sets, and planned a transfer to a revived
+    // non-participant, which waited forever ("protocol stalled: 397 of
+    // 400"). Profiles from, or (distributed) to, a non-participant are
+    // now dropped.
+    let cluster = chaos_cluster(3, 8);
+    let plan = churn_plan(3, 8, horizon(&cluster), p);
+    let cfg = StrategyConfig::paper(Strategy::Gddlb, 8);
+    assert_churn_cell("chaos seed 3 plan 8", &cluster, &plan, cfg, None);
+
+    // Chaos seed 5, plan 17, adaptive: a re-decision window in which no
+    // live processor finished an iteration floored every rate, and the
+    // model's decision never returned. Such a window now defers.
+    let cluster = chaos_cluster(5, 17);
+    let plan = churn_plan(5, 17, horizon(&cluster), p);
+    let acfg = AdaptiveConfig {
+        window: 1,
+        min_episodes_between: 2,
+        ..AdaptiveConfig::paper(Strategy::Lddlb, 8)
+    };
+    let report = assert_churn_cell(
+        "chaos seed 5 plan 17",
+        &cluster,
+        &plan,
+        acfg.initial,
+        Some(acfg),
+    );
+    assert!(report.adaptive.expect("adaptive accounting").deferred > 0);
 }
 
 #[test]

@@ -7,24 +7,22 @@
 //! analytic cost model that *selects* the best strategy per loop, a
 //! mini-compiler that turns annotated sequential loop nests into SPMD
 //! plans with DLB calls, and the substrates needed to evaluate all of it:
-//! a discrete-event NOW simulator, a parametric Ethernet model, the
-//! paper's discrete random external-load generator, and a PVM-flavoured
-//! threaded message-passing runtime.
+//! a discrete-event NOW simulator, a parametric Ethernet model and the
+//! paper's discrete random external-load generator.
 //!
 //! ## Crate map
 //!
 //! | module | crate | role |
 //! |---|---|---|
-//! | [`core`](dlb_core) | `dlb-core` | the four strategies, balancer decision logic, protocol planning |
-//! | [`model`](dlb_model) | `dlb-model` | Section-4 recurrences + hybrid decision process |
-//! | [`compile`](dlb_compile) | `dlb-compile` | annotated loop-nest language → SPMD plan + Fig-3 pseudo-code |
-//! | [`apps`](dlb_apps) | `dlb-apps` | MXM and TRFD workloads (models + real kernels) |
-//! | [`sim`](now_sim) | `now-sim` | discrete-event network-of-workstations simulator |
-//! | [`net`](now_net) | `now-net` | medium model, pattern costs, polyfit characterization |
-//! | [`load`](now_load) | `now-load` | external load functions and effective-speed math |
-//! | [`pvm`](pvm_rt) | `pvm-rt` | threaded PVM-style runtime + real-data DLB executor |
-//! | [`fault`](now_fault) | `now-fault` | seeded fault injection + failure-aware protocol parameters |
-//! | [`serve`](now_serve) | `now-serve` | multi-client run server with a content-addressed result memo; its worker pool is the parallel grid engine for experiment sweeps |
+//! | [`core`] | `dlb-core` | the four strategies, balancer decision logic, transfer planning |
+//! | [`model`] | `dlb-model` | Section-4 recurrences + hybrid decision process |
+//! | [`compile`] | `dlb-compile` | annotated loop-nest language → SPMD plan + Fig-3 pseudo-code |
+//! | [`apps`] | `dlb-apps` | MXM and TRFD work models |
+//! | [`sim`] | `now-sim` | discrete-event network-of-workstations simulator |
+//! | [`net`] | `now-net` | medium model, pattern costs, polyfit characterization |
+//! | [`load`] | `now-load` | external load functions and effective-speed math |
+//! | [`fault`] | `now-fault` | seeded fault injection + failure-aware protocol parameters |
+//! | [`serve`] | `now-serve` | multi-client run server with a content-addressed result memo; its worker pool is the parallel grid engine for experiment sweeps |
 //!
 //! ## Quickstart
 //!
@@ -51,11 +49,10 @@ pub use now_load as load;
 pub use now_net as net;
 pub use now_serve as serve;
 pub use now_sim as sim;
-pub use pvm_rt as pvm;
 
 /// Everything most programs need.
 pub mod prelude {
-    pub use dlb_apps::{MxmConfig, MxmData, TrfdConfig, TrfdData};
+    pub use dlb_apps::{MxmConfig, TrfdConfig};
     pub use dlb_compile::{compile, compile_and_bind};
     pub use dlb_core::{
         AdaptiveConfig, CostFnLoop, FoldedLoop, IndexedLoop, LoopWorkload, Strategy,
@@ -71,5 +68,4 @@ pub mod prelude {
         run_dlb_adaptive_arc, run_dlb_adaptive_faulty, run_dlb_arc, run_dlb_faulty,
         run_dlb_periodic, run_no_dlb, run_no_dlb_arc, ClusterSpec, RunReport,
     };
-    pub use pvm_rt::{run_loop, RowKernel};
 }

@@ -1,6 +1,5 @@
 //! Cross-crate integration tests: the compiler's output drives the
-//! simulator and the model; the threaded runtime agrees with the
-//! sequential kernels; calibrations line up across crates.
+//! simulator and the model; calibrations line up across crates.
 
 use customized_dlb::prelude::*;
 use std::collections::BTreeMap;
@@ -124,43 +123,6 @@ fn model_ranks_match_simulation_under_stable_skew() {
         matches!(actual[0], Gcdlb | Gddlb),
         "globals must win: {actual:?}"
     );
-}
-
-#[test]
-fn threaded_runtime_matches_sequential_trfd_loop1() {
-    struct TrfdLoop1 {
-        data: TrfdData,
-    }
-    impl RowKernel for TrfdLoop1 {
-        fn iterations(&self) -> u64 {
-            self.data.config().msize()
-        }
-        fn initial_item(&self, iter: u64) -> Vec<f64> {
-            let s = self.data.config().msize() as usize;
-            self.data.m[(iter as usize) * s..(iter as usize + 1) * s].to_vec()
-        }
-        fn execute(&self, iter: u64, item: &[f64]) -> f64 {
-            // The sweep only reads the shipped column, so run it through
-            // the kernel's column transform on the payload.
-            let mut data = self.data.clone();
-            let s = data.config().msize() as usize;
-            data.m[(iter as usize) * s..(iter as usize + 1) * s].copy_from_slice(item);
-            TrfdData::column_checksum(iter, &data.loop1_column(iter))
-        }
-    }
-    let cfg = TrfdConfig::new(8); // msize = 36 — fast
-    let seq = TrfdData::new(cfg).loop1_sequential_checksum();
-    let report = run_loop(
-        Arc::new(TrfdLoop1 {
-            data: TrfdData::new(cfg),
-        }),
-        StrategyConfig::paper(Strategy::Lddlb, 2),
-        4,
-        vec![LoadSpec::Zero; 4],
-        1.0,
-    );
-    assert!((report.checksum - seq).abs() < 1e-9);
-    assert_eq!(report.per_proc_iters.iter().sum::<u64>(), 36);
 }
 
 #[test]
