@@ -12,8 +12,8 @@
 //! Std-only: worker threads over an `mpsc` queue, a mutex-guarded map,
 //! plain files. See `DESIGN.md` §S15 for the architecture, the memo-key
 //! derivation, and the single-flight protocol; `crates/bench`'s
-//! `serve_bench` measures the hit/miss latency gap and concurrent
-//! throughput into `BENCH_serve.json`.
+//! `serve_bench` pins the memo's hit counts and the worker pool's grid
+//! determinism into `BENCH_serve.json`.
 //!
 //! Environment knobs:
 //!

@@ -2312,6 +2312,9 @@ impl<'w> Engine<'w> {
         }
 
         self.fixup_episode_after_death(g, d, now);
+        // The fixup can close the episode and run a §S17 switch, which
+        // rebuilds `groups` and `proc_group`: re-read d's group.
+        let g = self.proc_group[d];
         self.reassign_ranges(g, ranges, now);
     }
 

@@ -304,6 +304,27 @@ fn churn_rejoin_regression_cell() {
         Some(acfg),
     );
     assert!(report.adaptive.expect("adaptive accounting").deferred > 0);
+
+    // `chaos_campaign --procs 16 --plans 45 --seed 2`, plan 17, adaptive.
+    // A death handled inside an open episode aborted it, and the episode
+    // boundary ran a §S17 switch that rebuilt the groups. The dead
+    // processor's confiscated work was then handed to its group index
+    // from before the switch ("index out of bounds: the len is 1 but the
+    // index is 1"). The group is now re-read after the episode fixup.
+    let cluster = ClusterSpec::paper_homogeneous(p, 0x0DB1_0ADE, 0.5);
+    let plan = churn_plan(2, 17, horizon(&cluster), p);
+    let report = assert_churn_cell(
+        "campaign seed 2 plan 17",
+        &cluster,
+        &plan,
+        acfg.initial,
+        Some(acfg),
+    );
+    assert!(!report
+        .adaptive
+        .expect("adaptive accounting")
+        .switches
+        .is_empty());
 }
 
 #[test]
