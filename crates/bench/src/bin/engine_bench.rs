@@ -18,10 +18,10 @@
 //! cell (MXM R=3200, P=16). Results land in `BENCH_engine.json`
 //! (override with `--out`).
 //!
-//! The CI cells (`--quick` and `--quick --procs 256`) gate every counter
-//! of every run kind exactly against the `PINS` table below: one event
-//! more or less fails the run. A change that moves a count re-pins the
-//! table in its own diff. Other cells print their counts ungated; the
+//! The CI cells (`--quick`, `--quick --procs 256` and `--quick --procs
+//! 1024`) gate every counter of every run kind exactly against the
+//! `PINS` table below: one event more or less fails the run. A change
+//! that moves a count re-pins the table in its own diff. Other cells print their counts ungated; the
 //! full P=16 cell is pinned by the now-sim test
 //! `fast_forward_engagement_is_pinned_on_the_full_cell`. Wall time is
 //! measured by `perfbench`; the one wall number here is informational.
@@ -80,6 +80,11 @@ const PINS: &[(&str, KindPins)] = &[
         ("noDLB", [6400, 256, 256, 0, 0, 0, 0, 0, 0, 0, 0]),
         ("GDDLB", [169047, 350, 346, 4, 0, 4, 0, 0, 0, 0, 0]),
         ("LCDLB", [8310, 2867, 968, 1899, 0, 2, 74, 74, 0, 0, 0]),
+    ]),
+    ("quick scaling P=1024", &[
+        ("noDLB", [0, 1024, 1024, 0, 0, 0, 0, 0, 0, 0, 0]),
+        ("GDDLB", [0, 1077, 1074, 3, 0, 3, 0, 0, 0, 0, 0]),
+        ("LCDLB", [0, 9283, 3048, 6235, 0, 2, 233, 233, 0, 0, 0]),
     ]),
 ];
 

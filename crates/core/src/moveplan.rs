@@ -26,7 +26,9 @@ pub struct Transfer {
 /// Greedy largest-surplus ↔ largest-deficit matching: it minimizes the
 /// message count `μ` in the common case and is deterministic (ties broken
 /// by processor id). The plan is *balanced*: total sent equals total
-/// received equals [`Distribution::work_moved`].
+/// received equals [`Distribution::work_moved`]. Each donor's transfers,
+/// and each receiver's, are contiguous in the plan, so a member's share
+/// is one run of it.
 ///
 /// # Panics
 /// Panics if the distributions have different processor counts or totals.
@@ -99,6 +101,7 @@ pub fn senders(plan: &[Transfer]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn dist(v: &[u64]) -> Distribution {
         Distribution::from_counts(v.to_vec())
@@ -185,6 +188,36 @@ mod tests {
         let old = dist(&[7, 7, 7, 7, 2]);
         let new = dist(&[2, 7, 7, 7, 7]);
         assert_eq!(plan_transfers(&old, &new), plan_transfers(&old, &new));
+    }
+
+    /// Whether each `key` value occupies one contiguous run of `plan`.
+    fn contiguous(plan: &[Transfer], key: impl Fn(&Transfer) -> usize) -> bool {
+        let mut seen = Vec::new();
+        for run in plan.chunk_by(|a, b| key(a) == key(b)) {
+            if seen.contains(&key(&run[0])) {
+                return false;
+            }
+            seen.push(key(&run[0]));
+        }
+        true
+    }
+
+    proptest! {
+        #[test]
+        fn prop_each_members_transfers_are_contiguous(
+            old in prop::collection::vec(0u64..60, 1..24),
+            weights in prop::collection::vec(1u64..9, 24..25),
+        ) {
+            // A new distribution of the same total, roughly by `weights`.
+            let total: u64 = old.iter().sum();
+            let w = &weights[..old.len()];
+            let wsum: u64 = w.iter().sum();
+            let mut new: Vec<u64> = w.iter().map(|x| total * x / wsum).collect();
+            new[0] += total - new.iter().sum::<u64>();
+            let plan = plan_transfers(&dist(&old), &dist(&new));
+            prop_assert!(contiguous(&plan, |t| t.from), "donor runs split: {:?}", plan);
+            prop_assert!(contiguous(&plan, |t| t.to), "receiver runs split: {:?}", plan);
+        }
     }
 
     #[test]

@@ -31,12 +31,12 @@ pub struct Transmission {
 /// (≥ 1): the in-flight span `delivered - now` is multiplied, the send
 /// instant is unchanged.
 ///
-/// This is the **single** delay-inflation arithmetic shared by the
-/// event-loop send path and the episode fast-forward replay
-/// (`ff_send_msg`), mirroring how [`ContentionState::schedule`] is the
-/// single contention core — both paths apply the exact same float ops
-/// in the same order, so a replayed delayed message cannot drift from
-/// the event loop's delivery time.
+/// This is the **single** delay-inflation arithmetic of the simulator's
+/// send path, which the event loop and the episode fast-forward replay
+/// share, mirroring how [`ContentionState`]'s per-message step is the
+/// single contention core — both apply the exact same float ops in the
+/// same order, so a replayed delayed message cannot drift from the event
+/// loop's delivery time.
 pub fn stretch_delivery(now: f64, delivered: f64, factor: f64) -> f64 {
     now + (delivered - now) * factor
 }
@@ -62,13 +62,16 @@ impl Default for EndpointFactors {
 /// The FCFS queueing state of a medium: when each sender CPU, the shared
 /// wire, and each receiver CPU next come free.
 ///
-/// This is the *entire* mutable state of the arbiter, and
-/// [`ContentionState::schedule`] is the single implementation of the
-/// contention-update arithmetic. Both the event-loop path
-/// ([`MediumSim::send_with_factors`]) and the speculative episode replay
-/// ([`EpisodeSchedule::send`]) call the same function on a value of this
-/// type, so a replayed message schedule cannot drift from what the event
-/// loop would have computed — same float ops, same order.
+/// This is the *entire* mutable state of the arbiter, and one private
+/// per-message FCFS step is the single implementation of the
+/// contention-update arithmetic. [`ContentionState::schedule`] runs it
+/// for one message and [`ContentionState::fanout`] for each message of a
+/// one-sender broadcast. Both the event-loop path
+/// ([`MediumSim::send_with_factors`], [`MediumSim::fanout`]) and the
+/// speculative episode replay ([`EpisodeSchedule::send`],
+/// [`EpisodeSchedule::fanout`]) call them on a value of this type, so a
+/// replayed message schedule cannot drift from what the event loop would
+/// have computed — same float ops, same order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContentionState {
     bus_free_at: f64,
@@ -139,25 +142,107 @@ impl ContentionState {
                 delivered: now,
             };
         }
-        // Sender CPU.
-        let start = now.max(self.send_port_free[from]);
-        let sent = start + params.send_overhead * factors.send;
-        self.send_port_free[from] = sent;
-        // Wire.
-        let frame = params.frame_time(bytes);
-        let arrival = match params.medium {
-            MediumKind::SharedBus => {
-                let bus_start = sent.max(self.bus_free_at);
-                self.bus_free_at = bus_start + frame;
-                bus_start + frame
-            }
-            MediumKind::Switched => sent + frame,
-        };
-        // Receiver CPU.
-        let delivered = arrival.max(self.recv_port_free[to]) + params.recv_overhead * factors.recv;
-        self.recv_port_free[to] = delivered;
-        Transmission { start, delivered }
+        step(
+            params,
+            &mut self.send_port_free[from],
+            &mut self.bus_free_at,
+            &mut self.recv_port_free[to],
+            now,
+            params.send_overhead * factors.send,
+            params.frame_time(bytes),
+            params.recv_overhead * factors.recv,
+        )
     }
+
+    /// A one-sender fan-out: one message of `bytes` bytes from `from` to
+    /// each `(to, recv)` receiver in order — `recv` scales that
+    /// receiver's CPU cost, `send` the sender's — all requested at `now`.
+    /// `sink` sees each receiver's [`Transmission`] in order. Self-sends
+    /// are skipped: they touch no port and are not passed to `sink`.
+    ///
+    /// Bit for bit the same as one [`ContentionState::schedule`] per
+    /// receiver: the send cost and frame time are the same products,
+    /// hoisted out of the loop, and each message runs the same step.
+    ///
+    /// # Panics
+    /// Panics if a node index is out of range or a factor is below 1.
+    #[allow(clippy::too_many_arguments)]
+    pub fn fanout(
+        &mut self,
+        params: &NetworkParams,
+        from: usize,
+        bytes: usize,
+        now: f64,
+        send: f64,
+        receivers: impl IntoIterator<Item = (usize, f64)>,
+        mut sink: impl FnMut(usize, Transmission),
+    ) {
+        let n = self.nodes();
+        assert!(from < n, "node index out of range");
+        assert!(send >= 1.0, "endpoint factors must be >= 1 (1 = unloaded)");
+        let send_cost = params.send_overhead * send;
+        let frame = params.frame_time(bytes);
+        // The sender's port and the wire are the loop's running state;
+        // only the receivers' ports vary.
+        let mut send_free = self.send_port_free[from];
+        let mut bus_free = self.bus_free_at;
+        for (to, recv) in receivers {
+            assert!(to < n, "node index out of range");
+            assert!(recv >= 1.0, "endpoint factors must be >= 1 (1 = unloaded)");
+            if to == from {
+                continue;
+            }
+            let tx = step(
+                params,
+                &mut send_free,
+                &mut bus_free,
+                &mut self.recv_port_free[to],
+                now,
+                send_cost,
+                frame,
+                params.recv_overhead * recv,
+            );
+            sink(to, tx);
+        }
+        self.send_port_free[from] = send_free;
+        self.bus_free_at = bus_free;
+    }
+}
+
+/// The per-message FCFS step, shared by [`ContentionState::schedule`] and
+/// [`ContentionState::fanout`]: the sender's CPU, then the wire (bus
+/// media only), then the receiver's CPU, each taken first come, first
+/// served. `send_cost`, `frame` and `recv_cost` are the message's
+/// already-scaled overheads and frame time.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn step(
+    params: &NetworkParams,
+    send_free: &mut f64,
+    bus_free: &mut f64,
+    recv_free: &mut f64,
+    now: f64,
+    send_cost: f64,
+    frame: f64,
+    recv_cost: f64,
+) -> Transmission {
+    // Sender CPU.
+    let start = now.max(*send_free);
+    let sent = start + send_cost;
+    *send_free = sent;
+    // Wire.
+    let arrival = match params.medium {
+        MediumKind::SharedBus => {
+            let bus_start = sent.max(*bus_free);
+            *bus_free = bus_start + frame;
+            bus_start + frame
+        }
+        MediumKind::Switched => sent + frame,
+    };
+    // Receiver CPU.
+    let delivered = arrival.max(*recv_free) + recv_cost;
+    *recv_free = delivered;
+    Transmission { start, delivered }
 }
 
 /// Stateful FCFS medium arbiter for `n` nodes.
@@ -221,6 +306,23 @@ impl MediumSim {
             .schedule(&self.params, from, to, bytes, now, factors)
     }
 
+    /// Schedule a one-sender fan-out (see [`ContentionState::fanout`]).
+    ///
+    /// # Panics
+    /// Panics if a node index is out of range or a factor is below 1.
+    pub fn fanout(
+        &mut self,
+        from: usize,
+        bytes: usize,
+        now: f64,
+        send: f64,
+        receivers: impl IntoIterator<Item = (usize, f64)>,
+        sink: impl FnMut(usize, Transmission),
+    ) {
+        self.state
+            .fanout(&self.params, from, bytes, now, send, receivers, sink);
+    }
+
     /// Forget all queueing state (ports and bus free immediately). Used
     /// between independent pattern measurements.
     pub fn reset(&mut self) {
@@ -235,8 +337,8 @@ impl MediumSim {
 /// episode may be fast-forwarded at all. This type supports that
 /// two-phase shape: [`EpisodeSchedule::restart_from`] snapshots a
 /// [`MediumSim`]'s contention state (reusing this schedule's buffers),
-/// [`EpisodeSchedule::send`] replays messages through the **same**
-/// [`ContentionState::schedule`] core the event loop uses, and
+/// [`EpisodeSchedule::send`] and [`EpisodeSchedule::fanout`] replay
+/// messages through the **same** contention step the event loop uses, and
 /// [`EpisodeSchedule::commit_to`] adopts the advanced state back into the
 /// medium — or the schedule is simply dropped/reused, leaving the medium
 /// untouched (the fallback path then re-issues the messages through the
@@ -287,6 +389,28 @@ impl EpisodeSchedule {
             .schedule(&self.params, from, to, bytes, now, factors)
     }
 
+    /// Replay a one-sender fan-out: identical arithmetic, identical state
+    /// update as [`MediumSim::fanout`], applied to the snapshot.
+    ///
+    /// # Panics
+    /// Panics if a node index is out of range or a factor is below 1.
+    pub fn fanout(
+        &mut self,
+        from: usize,
+        bytes: usize,
+        now: f64,
+        send: f64,
+        receivers: impl IntoIterator<Item = (usize, f64)>,
+        mut sink: impl FnMut(usize, Transmission),
+    ) {
+        let messages = &mut self.messages;
+        self.state
+            .fanout(&self.params, from, bytes, now, send, receivers, |to, tx| {
+                *messages += 1;
+                sink(to, tx);
+            });
+    }
+
     /// Messages replayed since the last [`EpisodeSchedule::restart_from`].
     pub fn messages(&self) -> u64 {
         self.messages
@@ -303,6 +427,7 @@ impl EpisodeSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn bus(n: usize) -> MediumSim {
         MediumSim::new(NetworkParams::paper_ethernet(), n)
@@ -507,6 +632,127 @@ mod tests {
             assert_eq!(ep.messages(), (msgs.len() - 50) as u64);
             ep.commit_to(&mut ff_base);
             assert_eq!(live.state(), ff_base.state());
+        }
+    }
+
+    /// A fan-out's messages sent one [`ContentionState::schedule`] at a
+    /// time, as `(receiver, start bits, delivered bits)`.
+    fn one_at_a_time(
+        m: &mut MediumSim,
+        from: usize,
+        bytes: usize,
+        now: f64,
+        send: f64,
+        receivers: &[(usize, f64)],
+    ) -> Vec<(usize, u64, u64)> {
+        receivers
+            .iter()
+            .filter(|&&(to, _)| to != from)
+            .map(|&(to, recv)| {
+                let t = m.send_with_factors(from, to, bytes, now, EndpointFactors { send, recv });
+                (to, t.start.to_bits(), t.delivered.to_bits())
+            })
+            .collect()
+    }
+
+    /// The same messages through one [`MediumSim::fanout`].
+    fn fanned(
+        m: &mut MediumSim,
+        from: usize,
+        bytes: usize,
+        now: f64,
+        send: f64,
+        receivers: &[(usize, f64)],
+    ) -> Vec<(usize, u64, u64)> {
+        let mut out = Vec::new();
+        m.fanout(
+            from,
+            bytes,
+            now,
+            send,
+            receivers.iter().copied(),
+            |to, t| {
+                out.push((to, t.start.to_bits(), t.delivered.to_bits()));
+            },
+        );
+        out
+    }
+
+    /// A fan-out is bit for bit the same messages scheduled one at a
+    /// time, on both media, from a mid-stream state, with the sender in
+    /// its own receiver list and loaded endpoints — and so is its replay
+    /// through an [`EpisodeSchedule`], committed back to the medium.
+    #[test]
+    fn fanout_equals_one_schedule_per_receiver() {
+        let receivers = [(0, 1.0), (2, 3.0), (5, 2.5), (1, 1.0), (3, 1.7), (4, 1.0)];
+        for mk in [bus(6), switched(6)] {
+            let mut live = mk.clone();
+            let mut fan = mk.clone();
+            for &(f, t, b, now, fac) in &trace(6, 40) {
+                live.send_with_factors(f, t, b, now, fac);
+                fan.send_with_factors(f, t, b, now, fac);
+            }
+            let now = 0.05;
+            let snapshot = fan.clone();
+            let expected = one_at_a_time(&mut live, 2, 64, now, 2.0, &receivers);
+            assert_eq!(expected.len(), 5, "the self-send is skipped");
+            assert_eq!(fanned(&mut fan, 2, 64, now, 2.0, &receivers), expected);
+            assert_eq!(live.state(), fan.state());
+
+            let mut ep = EpisodeSchedule::new(*snapshot.params(), snapshot.nodes());
+            ep.restart_from(&snapshot);
+            let mut replayed = Vec::new();
+            ep.fanout(2, 64, now, 2.0, receivers.iter().copied(), |to, t| {
+                replayed.push((to, t.start.to_bits(), t.delivered.to_bits()));
+            });
+            assert_eq!(replayed, expected);
+            assert_eq!(ep.messages(), 5);
+            let mut committed = snapshot;
+            ep.commit_to(&mut committed);
+            assert_eq!(committed.state(), live.state());
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_fanout_equals_one_schedule_per_receiver(
+            n in 2usize..9,
+            switch in 0u32..2,
+            prefix in 0usize..30,
+            from in 0usize..9,
+            receivers in prop::collection::vec((0usize..9, 1.0f64..4.0), 0..12),
+            send in 1.0f64..4.0,
+            bytes in 0usize..5000,
+            lead in 0.0f64..0.02,
+        ) {
+            let base = if switch == 1 { switched(n) } else { bus(n) };
+            let from = from % n;
+            let receivers: Vec<(usize, f64)> =
+                receivers.into_iter().map(|(to, f)| (to % n, f)).collect();
+            let mut live = base.clone();
+            let mut fan = base.clone();
+            let warm = trace(n, prefix);
+            for &(f, t, b, now, fac) in &warm {
+                live.send_with_factors(f, t, b, now, fac);
+                fan.send_with_factors(f, t, b, now, fac);
+            }
+            let now = warm.last().map_or(0.0, |w| w.3) + lead;
+            let snapshot = fan.clone();
+            let expected = one_at_a_time(&mut live, from, bytes, now, send, &receivers);
+            prop_assert_eq!(fanned(&mut fan, from, bytes, now, send, &receivers), expected.clone());
+            prop_assert_eq!(live.state(), fan.state());
+
+            let mut ep = EpisodeSchedule::new(*snapshot.params(), snapshot.nodes());
+            ep.restart_from(&snapshot);
+            let mut replayed = Vec::new();
+            ep.fanout(from, bytes, now, send, receivers.iter().copied(), |to, t| {
+                replayed.push((to, t.start.to_bits(), t.delivered.to_bits()));
+            });
+            prop_assert_eq!(replayed, expected.clone());
+            prop_assert_eq!(ep.messages(), expected.len() as u64);
+            let mut committed = snapshot;
+            ep.commit_to(&mut committed);
+            prop_assert_eq!(committed.state(), live.state());
         }
     }
 

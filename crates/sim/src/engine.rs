@@ -40,6 +40,7 @@ use crate::cluster::ClusterSpec;
 use crate::report::{ProcSummary, RunReport};
 use dlb_core::balance::{balance_group, BalanceOutcome, BalanceVerdict};
 use dlb_core::membership::Membership;
+use dlb_core::moveplan::Transfer;
 use dlb_core::profile::PerfProfile;
 use dlb_core::recovery::split_ranges;
 use dlb_core::strategy::{Control, StrategyConfig};
@@ -105,6 +106,65 @@ impl IndexSums {
     }
 }
 
+/// A balancer outcome with its transfers indexed by member.
+/// `plan_transfers` emits each donor's transfers, and each receiver's,
+/// contiguously, so a member's share is one run of `outcome.transfers`:
+/// acting members visit only their own transfers, in plan order, instead
+/// of scanning the whole plan.
+#[derive(Debug)]
+struct Plan {
+    outcome: BalanceOutcome,
+    /// `(donor, its run)`, sorted by donor.
+    ships: Vec<(usize, Range<usize>)>,
+    /// `(receiver, its run)`, sorted by receiver.
+    owed: Vec<(usize, Range<usize>)>,
+}
+
+impl Plan {
+    fn new(outcome: BalanceOutcome) -> Self {
+        let ships = Self::runs(&outcome.transfers, |t| t.from);
+        let owed = Self::runs(&outcome.transfers, |t| t.to);
+        Self {
+            outcome,
+            ships,
+            owed,
+        }
+    }
+
+    /// The runs of `transfers` with one `key` each, sorted by key.
+    fn runs(transfers: &[Transfer], key: fn(&Transfer) -> usize) -> Vec<(usize, Range<usize>)> {
+        let mut runs = Vec::new();
+        let mut start = 0;
+        for run in transfers.chunk_by(|a, b| key(a) == key(b)) {
+            runs.push((key(&run[0]), start..start + run.len()));
+            start += run.len();
+        }
+        runs.sort_unstable_by_key(|&(k, _)| k);
+        assert!(
+            runs.windows(2).all(|w| w[0].0 < w[1].0),
+            "a member's transfers are contiguous in the plan"
+        );
+        runs
+    }
+
+    fn run<'a>(&'a self, runs: &[(usize, Range<usize>)], m: usize) -> &'a [Transfer] {
+        match runs.binary_search_by_key(&m, |&(k, _)| k) {
+            Ok(i) => &self.outcome.transfers[runs[i].1.clone()],
+            Err(_) => &[],
+        }
+    }
+
+    /// What `m` ships, in plan order.
+    fn ships(&self, m: usize) -> &[Transfer] {
+        self.run(&self.ships, m)
+    }
+
+    /// What `m` is owed, in plan order.
+    fn owed(&self, m: usize) -> &[Transfer] {
+        self.run(&self.owed, m)
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Payload {
     Interrupt {
@@ -132,7 +192,7 @@ enum Payload {
         /// Shared, not cloned: the same computed outcome is broadcast to
         /// every participant, so the payload carries a cheap `Arc` handle
         /// instead of a deep copy of the transfer plan.
-        outcome: Arc<BalanceOutcome>,
+        outcome: Arc<Plan>,
         /// Membership epoch at send time. A receiver discards any
         /// instruction stamped with an older epoch than its own view —
         /// the split-brain guard of DESIGN.md §S14: after a membership
@@ -397,6 +457,16 @@ fn pkey_of(kind: &EvKind) -> u32 {
     }
 }
 
+/// What the fault plan does to one costed message (see [`Engine::fate`]).
+enum Fate {
+    /// Delivered at this (possibly delay-stretched) time.
+    Deliver(f64),
+    /// Dropped or cut; counted, and its work (if any) logged as lost.
+    Lost,
+    /// Dropped or cut inside a replay, which aborts on it.
+    Abandoned,
+}
+
 /// The seam between the Section-3 protocol handlers and what drives
 /// them (DESIGN.md §S13). Every handler that runs inside a sync episode
 /// — profile sending, the balancer calculations, acting on an outcome,
@@ -427,11 +497,31 @@ trait Seam {
         now: f64,
         factors: EndpointFactors,
     ) -> f64;
+    /// Cost a one-sender fan-out on the medium: one message per `(to,
+    /// recv)` hop, `recv` scaling that receiver's CPU cost and `send` the
+    /// sender's. Pushes each message's receiver and undelayed delivery
+    /// time onto `out`, in hop order.
+    fn transmit_fanout(
+        e: &mut Engine<'_>,
+        from: usize,
+        bytes: usize,
+        now: f64,
+        send: f64,
+        hops: &[(usize, f64)],
+        out: &mut Vec<(usize, f64)>,
+    );
     /// The fault plan drops or cuts a message. `true` tells the sender to
     /// stop there (the replay aborts); `false` runs the loss accounting.
     fn abandon_lost(e: &mut Engine<'_>) -> bool;
     /// Hand a sent message to its receiver at `at`.
     fn deliver(e: &mut Engine<'_>, at: f64, to: usize, payload: Payload);
+    /// Hand a fan-out's surviving messages, `(receiver, delivery time)`
+    /// in send order, to their receivers.
+    fn deliver_fanout(e: &mut Engine<'_>, arrivals: &[(usize, f64)], payload: &Payload) {
+        for &(to, at) in arrivals {
+            Self::deliver(e, at, to, payload.clone());
+        }
+    }
     /// A profile lands at balancer `at` of group `g`.
     fn record_profile(e: &mut Engine<'_>, g: usize, at: usize, profile: PerfProfile, now: f64);
     /// Whether replicated balancer `at` holds a profile set for `g`'s
@@ -466,6 +556,21 @@ impl Seam for Live {
         e.medium
             .send_with_factors(from, to, bytes, now, factors)
             .delivered
+    }
+
+    fn transmit_fanout(
+        e: &mut Engine<'_>,
+        from: usize,
+        bytes: usize,
+        now: f64,
+        send: f64,
+        hops: &[(usize, f64)],
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        e.medium
+            .fanout(from, bytes, now, send, hops.iter().copied(), |to, tx| {
+                out.push((to, tx.delivered));
+            });
     }
 
     fn abandon_lost(_: &mut Engine<'_>) -> bool {
@@ -559,7 +664,7 @@ struct Episode {
     recorded: bool,
     /// The computed outcome (identical at every replicated balancer),
     /// kept for instruction retransmission and donor-death accounting.
-    outcome: Option<Arc<BalanceOutcome>>,
+    outcome: Option<Arc<Plan>>,
     /// Guard against double-scheduling the central calculation when a
     /// retransmitted profile duplicates one that did arrive.
     calc_central_scheduled: bool,
@@ -667,6 +772,10 @@ pub struct Engine<'w> {
     boundary_pool: Vec<Vec<f64>>,
     /// Pooled scratch state for the episode fast-forward (Episode mode).
     ff: ff::FfScratch,
+    /// Pooled [`Engine::fanout`] buffers: each message's receiver with
+    /// its undelayed delivery time, and with its CPU factor.
+    fan_arrivals: Vec<(usize, f64)>,
+    fan_hops: Vec<(usize, f64)>,
 
     // --- coalesced heartbeats (Episode mode) ---
     /// Liveness ticks fired so far (`faults.heartbeat_sweeps` mirror).
@@ -888,6 +997,8 @@ impl<'w> Engine<'w> {
             block_epoch: vec![0; p],
             boundary_pool: Vec::new(),
             ff: ff::FfScratch::default(),
+            fan_arrivals: Vec::new(),
+            fan_hops: Vec::new(),
             hb_ticks_counted: 0,
             hb_target: None,
             queues,
@@ -1226,7 +1337,7 @@ impl<'w> Engine<'w> {
             send: self.cpu_factor(from, now),
             recv: self.cpu_factor(to, now),
         };
-        let mut delivered = M::transmit(self, from, to, bytes, now, factors);
+        let delivered = M::transmit(self, from, to, bytes, now, factors);
         match &payload {
             Payload::Work { ranges, .. } => {
                 self.stats.transfer_messages += 1;
@@ -1235,7 +1346,6 @@ impl<'w> Engine<'w> {
             _ => self.stats.control_messages += 1,
         }
         self.finished_at[from] = self.finished_at[from].max(now);
-        self.msg_seq += 1;
         // Rejoin handshake messages are control-plane: exempt from loss
         // and link cuts (like the heartbeat liveness oracle) so a
         // recovering processor cannot be wedged out forever, but still
@@ -1245,42 +1355,119 @@ impl<'w> Engine<'w> {
                 payload,
                 Payload::JoinRequest { .. } | Payload::JoinGrant { .. }
             );
-        if self.fault_active && !control_plane {
-            if self.plan.link_cut(from, to, now) {
-                if M::abandon_lost(self) {
-                    return;
-                }
-                // Partitioned link: targeted loss. The sender's copy of
-                // any work survives in the lost-work log, so the
-                // watchdog/abort machinery recovers per-link exactly as
-                // it does for probabilistic loss.
-                self.faults.messages_cut += 1;
+        match self.fate::<M>(from, to, now, delivered, !control_plane) {
+            Fate::Deliver(at) => M::deliver(self, at, to, payload),
+            // The donor keeps its transfer log until the episode closes:
+            // the sender's copy of lost work survives in the lost-work
+            // log, so the watchdog/abort machinery recovers a cut link
+            // exactly as it does a probabilistic loss.
+            Fate::Lost => {
                 if let Payload::Work { group, ranges } = payload {
                     self.lost_work.push((to, group, ranges));
                 }
-                return;
             }
-            if self.plan.drops_message(self.msg_seq) {
+            Fate::Abandoned => {}
+        }
+    }
+
+    /// Send `payload` from `from` to every processor of `to` but `from`
+    /// itself, all at `now`: the one-to-many protocol sends — the
+    /// interrupt fan-out, the distributed profile broadcast and the
+    /// central instruction broadcast. The sender's CPU factor is read
+    /// once, and the medium costs the whole fan-out in one pass
+    /// ([`now_net::MediumSim::fanout`]); then each message,
+    /// in `msg_seq` order, gets the bookkeeping [`Engine::send_opts`]
+    /// gives one message: stats, the fault plan's [`Engine::fate`], and
+    /// delivery. A lost message has still occupied the medium. Only
+    /// control messages fan out, so no lost work is ever logged here.
+    fn fanout<M: Seam>(
+        &mut self,
+        from: usize,
+        to: &[usize],
+        bytes: usize,
+        payload: Payload,
+        now: f64,
+    ) {
+        debug_assert!(matches!(
+            payload,
+            Payload::Interrupt { .. } | Payload::Profile { .. } | Payload::Instruction { .. }
+        ));
+        let send = self.cpu_factor(from, now);
+        let mut hops = std::mem::take(&mut self.fan_hops);
+        hops.clear();
+        hops.extend(
+            to.iter()
+                .filter(|&&m| m != from)
+                .map(|&m| (m, self.cpu_factor(m, now))),
+        );
+        let mut arrivals = std::mem::take(&mut self.fan_arrivals);
+        arrivals.clear();
+        M::transmit_fanout(self, from, bytes, now, send, &hops, &mut arrivals);
+        self.fan_hops = hops;
+        if !arrivals.is_empty() {
+            self.stats.control_messages += arrivals.len() as u64;
+            self.finished_at[from] = self.finished_at[from].max(now);
+        }
+        let sent = arrivals.as_mut_slice();
+        let mut kept = 0;
+        for i in 0..sent.len() {
+            let (m, at) = sent[i];
+            match self.fate::<M>(from, m, now, at, true) {
+                Fate::Deliver(at) => {
+                    sent[kept] = (m, at);
+                    kept += 1;
+                }
+                Fate::Lost => {}
+                // The replay aborted: nothing it would deliver matters.
+                Fate::Abandoned => {
+                    kept = 0;
+                    break;
+                }
+            }
+        }
+        arrivals.truncate(kept);
+        M::deliver_fanout(self, &arrivals, &payload);
+        self.fan_arrivals = arrivals;
+    }
+
+    /// The fault plan's verdict on one costed message `from → to`, sent
+    /// at `now` and due at `delivered`: it draws the next `msg_seq`, then
+    /// runs the link-cut and loss checks (unless the message is
+    /// control-plane, `exposed == false`) and the delay stretch, each
+    /// with its counter. Single sends and fan-outs share this one body.
+    fn fate<M: Seam>(
+        &mut self,
+        from: usize,
+        to: usize,
+        now: f64,
+        delivered: f64,
+        exposed: bool,
+    ) -> Fate {
+        self.msg_seq += 1;
+        if !self.fault_active {
+            return Fate::Deliver(delivered);
+        }
+        if exposed {
+            // A partitioned link is a targeted loss.
+            let cut = self.plan.link_cut(from, to, now);
+            if cut || self.plan.drops_message(self.msg_seq) {
                 if M::abandon_lost(self) {
-                    return;
+                    return Fate::Abandoned;
                 }
-                self.faults.messages_dropped += 1;
-                if let Payload::Work { group, ranges } = payload {
-                    // The donor keeps its transfer log until the episode
-                    // closes; the watchdog retransmits from this copy.
-                    self.lost_work.push((to, group, ranges));
+                if cut {
+                    self.faults.messages_cut += 1;
+                } else {
+                    self.faults.messages_dropped += 1;
                 }
-                return;
+                return Fate::Lost;
             }
         }
-        if self.fault_active {
-            let f = self.plan.delay_factor_at(now);
-            if f > 1.0 {
-                delivered = now_net::stretch_delivery(now, delivered, f);
-                self.faults.messages_delayed += 1;
-            }
+        let f = self.plan.delay_factor_at(now);
+        if f > 1.0 {
+            self.faults.messages_delayed += 1;
+            return Fate::Deliver(now_net::stretch_delivery(now, delivered, f));
         }
-        M::deliver(self, delivered, to, payload);
+        Fate::Deliver(delivered)
     }
 
     /// Start `proc` computing at `now`: one event per iteration in
@@ -1642,18 +1829,11 @@ impl<'w> Engine<'w> {
             let initiator = actives[0];
             self.open_episode(g, initiator, &actives[1..]);
             self.arm_watchdog(g, now);
-            for &m in &actives[1..] {
-                self.send::<Live>(
-                    initiator,
-                    m,
-                    INTERRUPT_BYTES,
-                    Payload::Interrupt {
-                        group: g,
-                        epoch: self.membership_epoch,
-                    },
-                    now,
-                );
-            }
+            let interrupt = Payload::Interrupt {
+                group: g,
+                epoch: self.membership_epoch,
+            };
+            self.fanout::<Live>(initiator, &actives[1..], INTERRUPT_BYTES, interrupt, now);
             // The initiator itself reacts at its next iteration boundary.
             self.flag_interrupt::<Live>(initiator, now);
         }
@@ -1693,18 +1873,11 @@ impl<'w> Engine<'w> {
         peers: &[usize],
         now: f64,
     ) {
-        for &m in peers {
-            self.send::<M>(
-                initiator,
-                m,
-                INTERRUPT_BYTES,
-                Payload::Interrupt {
-                    group: g,
-                    epoch: self.membership_epoch,
-                },
-                now,
-            );
-        }
+        let interrupt = Payload::Interrupt {
+            group: g,
+            epoch: self.membership_epoch,
+        };
+        self.fanout::<M>(initiator, peers, INTERRUPT_BYTES, interrupt, now);
         self.send_profile::<M>(initiator, now);
     }
 
@@ -1768,11 +1941,7 @@ impl<'w> Engine<'w> {
                 // Record locally first…
                 M::record_profile(self, g, proc, profile, now);
                 // …then broadcast to the other participants.
-                for &to in participants.iter() {
-                    if to != proc {
-                        self.send::<M>(proc, to, PerfProfile::WIRE_BYTES, payload.clone(), now);
-                    }
-                }
+                self.fanout::<M>(proc, &participants, PerfProfile::WIRE_BYTES, payload, now);
             }
         }
     }
@@ -1867,15 +2036,16 @@ impl<'w> Engine<'w> {
     /// Compute `g`'s outcome from balancer `at`'s profile set, account it
     /// once per episode, and keep it for retransmission and for the other
     /// replicated balancers.
-    fn decide_episode<M: Seam>(&mut self, g: usize, at: usize, now: f64) -> Arc<BalanceOutcome> {
+    fn decide_episode<M: Seam>(&mut self, g: usize, at: usize, now: f64) -> Arc<Plan> {
         let profiles = M::profiles(self, g, at);
-        let outcome = Arc::new(self.decide(&profiles));
+        let outcome = Arc::new(Plan::new(self.decide(&profiles)));
         let episode = self.groups[g].episode.as_mut().expect("episode must exist");
         episode.outcome = Some(Arc::clone(&outcome));
         if !std::mem::replace(&mut episode.recorded, true) {
-            self.stats.record_verdict(outcome.verdict);
-            if outcome.verdict == BalanceVerdict::Move {
-                self.stats.iters_moved += outcome.moved;
+            let decided = &outcome.outcome;
+            self.stats.record_verdict(decided.verdict);
+            if decided.verdict == BalanceVerdict::Move {
+                self.stats.iters_moved += decided.moved;
             }
             self.sync_times.push(now);
         }
@@ -1905,23 +2075,13 @@ impl<'w> Engine<'w> {
         // distribution information to the processors", Section 3.3);
         // the master, if a participant, acts locally. The instruction
         // payload shares the outcome allocation across all receivers.
-        for &m in participants.iter() {
-            if m == master {
-                continue;
-            }
-            self.send::<M>(
-                master,
-                m,
-                INSTRUCTION_BYTES,
-                Payload::Instruction {
-                    group: g,
-                    outcome: Arc::clone(&outcome),
-                    epoch: self.membership_epoch,
-                    episode: episode_id,
-                },
-                now,
-            );
-        }
+        let instruction = Payload::Instruction {
+            group: g,
+            outcome: Arc::clone(&outcome),
+            epoch: self.membership_epoch,
+            episode: episode_id,
+        };
+        self.fanout::<M>(master, &participants, INSTRUCTION_BYTES, instruction, now);
         if participants.binary_search(&master).is_ok() {
             self.act_on_outcome::<M>(master, g, &outcome, now);
         }
@@ -1948,7 +2108,7 @@ impl<'w> Engine<'w> {
         self.act_on_outcome::<M>(proc, g, &outcome, now);
     }
 
-    fn act_on_outcome<M: Seam>(&mut self, m: usize, g: usize, outcome: &BalanceOutcome, now: f64) {
+    fn act_on_outcome<M: Seam>(&mut self, m: usize, g: usize, outcome: &Plan, now: f64) {
         {
             let episode = self.groups[g]
                 .episode
@@ -1968,7 +2128,7 @@ impl<'w> Engine<'w> {
         }
 
         // Ship what we owe.
-        for t in outcome.transfers.iter().filter(|t| t.from == m) {
+        for t in outcome.ships(m) {
             let ranges = self.queues[m].take_back(t.iters);
             assert_eq!(
                 ranges_len(&ranges),
@@ -1981,12 +2141,7 @@ impl<'w> Engine<'w> {
 
         // Wait for what we are owed, crediting any shipments that raced
         // ahead of our own balancer calculation.
-        let mut expect: u64 = outcome
-            .transfers
-            .iter()
-            .filter(|t| t.to == m)
-            .map(|t| t.iters)
-            .sum();
+        let mut expect: u64 = outcome.owed(m).iter().map(|t| t.iters).sum();
         let early = std::mem::take(&mut self.early_work[m]);
         for (grp, ranges) in early {
             debug_assert_eq!(grp, g, "early work must belong to the current episode");
@@ -2776,9 +2931,9 @@ impl<'w> Engine<'w> {
                         continue;
                     };
                     let owed_by_dead: u64 = out
-                        .transfers
+                        .owed(m)
                         .iter()
-                        .filter(|t| t.to == m && t.from == d)
+                        .filter(|t| t.from == d)
                         .map(|t| t.iters)
                         .sum();
                     if owed_by_dead == 0 {
@@ -3746,14 +3901,14 @@ mod tests {
         let mut engine = Engine::new(ClusterSpec::dedicated(4), &wl, Some(cfg))
             .with_faults(FaultPlan::crash(3, 50.0), FailurePolicy::default());
         engine.membership_epoch = 2;
-        let outcome = Arc::new(BalanceOutcome {
+        let outcome = Arc::new(Plan::new(BalanceOutcome {
             verdict: BalanceVerdict::BelowThreshold,
             new_counts: vec![],
             transfers: vec![],
             moved: 0,
             predicted_old: 0.0,
             predicted_new: 0.0,
-        });
+        }));
         engine.on_deliver::<Live>(
             1,
             Payload::Instruction {
@@ -3820,14 +3975,14 @@ mod tests {
             Engine::new(ClusterSpec::dedicated(4), &wl, Some(acfg.initial)).with_adaptive(acfg);
         engine.membership_epoch = 2;
         engine.on_deliver::<Live>(1, Payload::Interrupt { group: 0, epoch: 1 }, 0.1);
-        let outcome = Arc::new(BalanceOutcome {
+        let outcome = Arc::new(Plan::new(BalanceOutcome {
             verdict: BalanceVerdict::BelowThreshold,
             new_counts: vec![],
             transfers: vec![],
             moved: 0,
             predicted_old: 0.0,
             predicted_new: 0.0,
-        });
+        }));
         engine.on_deliver::<Live>(
             1,
             Payload::Instruction {

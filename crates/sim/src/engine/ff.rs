@@ -20,14 +20,17 @@
 //! * **Same handlers, same state.** The replay mutates the engine's real
 //!   per-processor state through the real handlers; only event
 //!   scheduling, the medium, and profile delivery go through the seam.
-//!   Message times come from [`EpisodeSchedule::send`], which calls the
-//!   identical contention core on a snapshot of the medium.
+//!   Message times come from [`EpisodeSchedule::send`] and
+//!   [`EpisodeSchedule::fanout`], which run the identical contention step
+//!   on a snapshot of the medium.
 //! * **Analytic profile delivery.** A profile arrival only stores the
 //!   profile and counts it, so the instant the k-th one lands — when the
 //!   live loop schedules the calculation — is the latest delivery time.
 //!   The replay schedules the calculation directly off it, with the event
 //!   clock set to that instant, and the O(K)..O(K²) profile deliveries
-//!   never become events.
+//!   never become events. A distributed profile broadcast is counted in
+//!   one pass over its arrivals, scheduling each balancer it completes
+//!   in send order, as the per-message path would.
 //! * **Same event order.** The private heap orders by the engine's own
 //!   [`Ev`] key. Seed `BlockDone` events reuse the real heap's sequence
 //!   numbers ([`BlockRun::seq`]); replay-scheduled events draw from a
@@ -99,6 +102,21 @@ impl Seam for Replay {
         net.send(from, to, bytes, now, factors).delivered
     }
 
+    fn transmit_fanout(
+        e: &mut Engine<'_>,
+        from: usize,
+        bytes: usize,
+        now: f64,
+        send: f64,
+        hops: &[(usize, f64)],
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        let net = e.ff.net.as_mut().expect("schedule anchored at snapshot");
+        net.fanout(from, bytes, now, send, hops.iter().copied(), |to, tx| {
+            out.push((to, tx.delivered));
+        });
+    }
+
     /// Drops and cuts change the protocol flow (watchdog rounds,
     /// lost-work recovery): the episode falls back to the per-message
     /// path.
@@ -120,38 +138,49 @@ impl Seam for Replay {
         }
     }
 
+    /// A profile broadcast is counted in one pass: per receiver, its
+    /// count and latest arrival. A receiver it completes has its
+    /// calculation scheduled on the spot, so completions push in send
+    /// order, as on the per-message path.
+    fn deliver_fanout(e: &mut Engine<'_>, arrivals: &[(usize, f64)], payload: &Payload) {
+        let Payload::Profile { group, profile, .. } = *payload else {
+            for &(to, at) in arrivals {
+                Self::deliver(e, at, to, payload.clone());
+            }
+            return;
+        };
+        if arrivals.is_empty() {
+            return;
+        }
+        debug_assert!(
+            e.ff.distributed,
+            "only distributed control broadcasts profiles"
+        );
+        e.ff.store_profile(profile);
+        for &(to, at) in arrivals {
+            if let Some(t) = e.ff.local_arrival(to, at) {
+                Self::schedule_calc(e, group, to, t);
+            }
+        }
+    }
+
     /// One shared, participant-ordered profile store models every
     /// balancer's (identical) set; `at`'s count and latest arrival decide
     /// when its calculation is scheduled.
     fn record_profile(e: &mut Engine<'_>, g: usize, at: usize, profile: PerfProfile, now: f64) {
         let s = &mut e.ff;
-        let i = s.pidx[profile.proc];
-        if s.profiles[i].is_none() {
-            s.profiles[i] = Some(profile);
-        }
-        let k = s.parts.len();
+        s.store_profile(profile);
         let complete = if s.distributed {
-            let a = s.pidx[at];
-            s.local_count[a] += 1;
-            s.local_latest[a] = s.local_latest[a].max(now);
-            (s.local_count[a] == k).then_some(s.local_latest[a])
+            s.local_arrival(at, now)
         } else {
+            let k = s.parts.len();
             s.central_count += 1;
             s.central_latest = s.central_latest.max(now);
             (s.central_count == k).then_some(s.central_latest)
         };
-        let Some(t) = complete else {
-            return;
-        };
-        // The live loop schedules the calculation while handling the
-        // k-th arrival, so that is the event clock's reading here.
-        let clock = std::mem::replace(&mut e.ev_now, t);
-        if e.ff.distributed {
-            e.schedule_local_calc::<Replay>(g, at, t);
-        } else {
-            e.schedule_central_calc::<Replay>(g, t);
+        if let Some(t) = complete {
+            Self::schedule_calc(e, g, at, t);
         }
-        e.ev_now = clock;
     }
 
     fn holds_profiles(_: &Engine<'_>, _: usize, _: usize) -> bool {
@@ -179,6 +208,21 @@ impl Seam for Replay {
         } else {
             e.boundary_pool.push(block.boundaries);
         }
+    }
+}
+
+impl Replay {
+    /// Balancer `at`'s profile set completed at `t`: schedule its
+    /// calculation. The live loop does so while handling the k-th
+    /// arrival, so that is the event clock's reading here.
+    fn schedule_calc(e: &mut Engine<'_>, g: usize, at: usize, t: f64) {
+        let clock = std::mem::replace(&mut e.ev_now, t);
+        if e.ff.distributed {
+            e.schedule_local_calc::<Replay>(g, at, t);
+        } else {
+            e.schedule_central_calc::<Replay>(g, t);
+        }
+        e.ev_now = clock;
     }
 }
 
@@ -245,8 +289,7 @@ pub(super) struct FfScratch {
     central_count: usize,
     central_latest: f64,
     /// Profiles held and latest arrival per replicated balancer.
-    local_count: Vec<usize>,
-    local_latest: Vec<f64>,
+    local: Vec<(usize, f64)>,
 
     // --- snapshot ---
     saved: Vec<Saved>,
@@ -257,6 +300,28 @@ pub(super) struct FfScratch {
     closed: Option<f64>,
     /// Why the replay bailed, for the per-reason fallback counters.
     reason: FallbackReason,
+}
+
+impl FfScratch {
+    /// Keep the first copy of a participant's profile.
+    #[inline]
+    fn store_profile(&mut self, profile: PerfProfile) {
+        let slot = &mut self.profiles[self.pidx[profile.proc]];
+        if slot.is_none() {
+            *slot = Some(profile);
+        }
+    }
+
+    /// A profile reached replicated balancer `at` at `now`. Returns the
+    /// instant its set completed if this was the last one it needed.
+    #[inline]
+    fn local_arrival(&mut self, at: usize, now: f64) -> Option<f64> {
+        let k = self.parts.len();
+        let (count, latest) = &mut self.local[self.pidx[at]];
+        *count += 1;
+        *latest = latest.max(now);
+        (*count == k).then_some(*latest)
+    }
 }
 
 impl<'w> Engine<'w> {
@@ -377,10 +442,8 @@ impl<'w> Engine<'w> {
         s.profiles.resize(k, None);
         s.central_count = 0;
         s.central_latest = f64::NEG_INFINITY;
-        s.local_count.clear();
-        s.local_count.resize(k, 0);
-        s.local_latest.clear();
-        s.local_latest.resize(k, f64::NEG_INFINITY);
+        s.local.clear();
+        s.local.resize(k, (0, f64::NEG_INFINITY));
         s.heap.clear();
         s.seq = self.seq;
         s.aborted = false;

@@ -196,6 +196,65 @@ fn periodic_sync_equivalence() {
     );
 }
 
+/// Wide fan-outs under faults. At P=16 the interrupt, profile and
+/// instruction fan-outs reach up to 15 receivers, where the P=4 matrix
+/// above never exceeds 3. Message loss drops messages inside them and a
+/// delay window stretches whole fan-outs; both engine modes must still
+/// agree byte for byte, and the episode engine must have fallen back on
+/// the faults rather than replaying through them.
+#[test]
+fn wide_fanouts_under_loss_and_delay() {
+    let p = 16;
+    let wl = MxmConfig::new(400, 400, 400).workload();
+    let seed = 0xFA17_0016;
+    let t = Engine::new(ClusterSpec::paper_homogeneous(p, seed, 0.5), &wl, None)
+        .run()
+        .total_time;
+    let cluster = ClusterSpec::paper_homogeneous(p, seed, t / 17.0);
+    let plan = FaultPlan {
+        loss: Some(LossSpec {
+            prob: 0.04,
+            seed: 31,
+        }),
+        delay: Some(DelaySpec {
+            factor: 2.5,
+            from: t * 0.2,
+            until: t * 0.6,
+        }),
+        ..FaultPlan::default()
+    };
+    for strategy in [Strategy::Gddlb, Strategy::Lddlb, Strategy::Gcdlb] {
+        let cfg = StrategyConfig::paper(strategy, 8);
+        let run = |mode: EngineMode| {
+            Engine::new(cluster.clone(), &wl, Some(cfg))
+                .with_mode(mode)
+                .with_faults(plan.clone(), FailurePolicy::default())
+                .run_counted()
+        };
+        let (reference, _) = run(EngineMode::PerIter);
+        let (episode, counters) = run(EngineMode::Episode);
+        assert_eq!(
+            serde_json::to_string(&reference).expect("report serializes"),
+            serde_json::to_string(&episode).expect("report serializes"),
+            "{strategy}: episode engine diverged under wide fan-out faults"
+        );
+        let faults = episode.faults.as_ref().expect("fault accounting");
+        assert!(
+            faults.messages_dropped > 0,
+            "{strategy}: no message was dropped"
+        );
+        assert!(
+            faults.messages_delayed > 0,
+            "{strategy}: no message was delayed"
+        );
+        assert!(
+            counters.ff_fallback_fault > 0,
+            "{strategy}: the replay never fell back on a fault"
+        );
+        assert_eq!(episode.total_iters, 400, "{strategy}: iterations lost");
+    }
+}
+
 /// The chaos generators' churn plan: every processor crashes and
 /// recovers twice, in staggered short outages, drawn from `seed` at plan
 /// `index` and scaled to the fault-free horizon `t`.
