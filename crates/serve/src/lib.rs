@@ -9,8 +9,8 @@
 //! surviving process restarts), or from exactly one simulation however
 //! many clients asked concurrently (single-flight deduplication).
 //!
-//! Std-only: worker threads over an `mpsc` queue, a mutex-guarded map,
-//! plain files. See `DESIGN.md` §S15 for the architecture, the memo-key
+//! Std-only: worker threads over an `mpsc` queue, which a client
+//! blocked on a reply also drains, a mutex-guarded map, plain files. See `DESIGN.md` §S15 for the architecture, the memo-key
 //! derivation, and the single-flight protocol; `crates/bench`'s
 //! `serve_bench` pins the memo's hit counts and the worker pool's grid
 //! determinism into `BENCH_serve.json`.

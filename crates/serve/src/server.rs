@@ -1,5 +1,6 @@
 //! The run-server: a pool of worker threads behind the two-tier memo,
-//! with single-flight deduplication.
+//! with single-flight deduplication. A client blocked on a reply helps
+//! the pool: it runs queued jobs until its own reply is ready.
 //!
 //! Clients open a [`ServeClient`] and [`submit`](ServeClient::submit)
 //! [`RunSpec`]s; responses come back **in request order per client**,
@@ -21,13 +22,34 @@
 //!    reply sender onto the waiter list (a *coalesced* request — no
 //!    job is queued). Otherwise insert an empty waiter list and queue
 //!    one job (the *leader*).
-//! 3. The worker simulates and serializes outside any lock, writes the
-//!    disk tier, then — holding the `inflight` lock — publishes to the
-//!    memory tier and removes the waiter list. Publishing and waiter
+//! 3. The job's runner (a worker, or a waiting client as in step 5)
+//!    simulates and serializes outside any lock, writes the disk tier,
+//!    then — holding the `inflight` lock — publishes to the memory tier
+//!    and removes the waiter list. Publishing and waiter
 //!    removal under one critical section means every request either
 //!    finds the bytes in the memo or finds the in-flight entry and
 //!    joins it; there is no window to start a second simulation.
 //! 4. Replies go to the leader and all waiters after the lock drops.
+//! 5. A client blocked in [`recv_response`](ServeClient::recv_response)
+//!    does not just sleep. While its reply is not ready it takes one job
+//!    off the queue (never blocking on the queue lock), runs it through
+//!    the same `Shared::execute` the workers run, and checks again; with
+//!    the queue empty or locked it blocks on its reply. The job may be
+//!    another client's: its replies go to that job's channels, exactly
+//!    as if a worker had run it.
+//!
+//! Per-client order holds whoever runs a job: each submission owns a
+//! slot in the client's deque with its own reply channel, and
+//! `recv_response` answers slots front to back. The trade-off is
+//! latency: a helper finishes the job it took before it looks at its
+//! own reply again, so a reply can wait for one other job.
+//!
+//! A run that panics is caught in `Shared::execute`: its in-flight
+//! entry is removed without publishing, neither memo tier is written,
+//! and every reply sender of the key is dropped, so each requester's
+//! `recv_response` panics with a message naming the memo key. The
+//! thread that ran the job, worker or helping client, keeps serving,
+//! and a later submission of the key simulates it afresh.
 //!
 //! A memo-disabled server (benchmarks timing the engine itself) skips
 //! all of this: every submission queues a job with a direct reply
@@ -35,8 +57,9 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -80,7 +103,8 @@ impl ServeResponse {
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads. Defaults to `DLB_SERVE_THREADS`, else the
-    /// machine's available parallelism.
+    /// machine's available parallelism. These are the pool's own
+    /// threads; a client blocked on a reply also runs queued jobs.
     pub threads: usize,
     pub memo: MemoConfig,
 }
@@ -118,8 +142,10 @@ pub struct ServeStats {
     pub coalesced: AtomicU64,
     /// Simulations actually executed — the single-flight proof counter:
     /// equals the number of *unique* missed keys, however many clients
-    /// asked for them concurrently.
+    /// asked for them concurrently (a run that panicked counts too).
     pub simulations: AtomicU64,
+    /// Jobs run by a client waiting on a reply rather than by a worker.
+    pub helped: AtomicU64,
 }
 
 /// A point-in-time copy of [`ServeStats`].
@@ -130,6 +156,7 @@ pub struct StatsSnapshot {
     pub misses: u64,
     pub coalesced: u64,
     pub simulations: u64,
+    pub helped: u64,
 }
 
 impl StatsSnapshot {
@@ -149,6 +176,7 @@ impl ServeStats {
             misses: self.misses.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
             simulations: self.simulations.load(Ordering::Relaxed),
+            helped: self.helped.load(Ordering::Relaxed),
         }
     }
 }
@@ -167,16 +195,43 @@ struct Shared {
     /// Keys currently being simulated → reply channels of coalesced
     /// waiters (the leader's channel is the first entry).
     inflight: Mutex<HashMap<u64, Vec<Sender<ServeResponse>>>>,
+    /// The job queue. Workers block on it holding the lock; a waiting
+    /// client only ever `try_lock`s it (see module docs, step 5).
+    jobs: Mutex<Receiver<Job>>,
     stats: ServeStats,
 }
 
 impl Shared {
+    /// Take one queued job without blocking: `None` if the queue is
+    /// empty or another thread holds it.
+    fn try_take(&self) -> Option<Job> {
+        self.jobs.try_lock().ok()?.try_recv().ok()
+    }
+
+    /// Run one job and answer its requesters. Workers and helping
+    /// clients both come here.
     fn execute(&self, job: Job) {
         // Simulate and serialize outside every lock — this is the slow
         // part, and other keys must keep flowing while it runs.
-        let (report, counters) = job.spec.execute_counted();
-        let bytes = Arc::new(serde_json::to_string(&report).expect("reports always serialize"));
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let (report, counters) = job.spec.execute_counted();
+            let bytes = serde_json::to_string(&report).expect("reports always serialize");
+            (Arc::new(bytes), counters)
+        }));
         self.stats.simulations.fetch_add(1, Ordering::Relaxed);
+        let Ok((bytes, counters)) = run else {
+            // A panicked run publishes nothing. Removing the in-flight
+            // entry (or, memo disabled, dropping `job.direct`) drops
+            // every reply sender, which fails each requester's
+            // `recv_response`; the next submission simulates again.
+            if job.direct.is_none() {
+                self.inflight
+                    .lock()
+                    .expect("no run panics holding the in-flight lock")
+                    .remove(&job.key.0);
+            }
+            return;
+        };
 
         if let Some(direct) = job.direct {
             let _ = direct.send(ServeResponse {
@@ -228,36 +283,40 @@ pub struct RunServer {
 impl RunServer {
     pub fn new(cfg: ServeConfig) -> Self {
         assert!(cfg.threads > 0, "server needs at least one worker");
-        let shared = Arc::new(Shared {
-            memo: MemoStore::new(cfg.memo),
-            inflight: Mutex::new(HashMap::new()),
-            stats: ServeStats::default(),
-        });
-        let (tx, rx) = channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..cfg.threads)
+        let mut server = Self::without_workers(cfg.memo);
+        server.workers = (0..cfg.threads)
             .map(|i| {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&rx);
+                let shared = Arc::clone(&server.shared);
                 std::thread::Builder::new()
                     .name(format!("now-serve-{i}"))
                     .spawn(move || loop {
                         // Hold the receiver lock only for the dequeue;
                         // execution runs unlocked so workers overlap.
-                        let job = match rx.lock().unwrap().recv() {
-                            Ok(job) => job,
-                            Err(_) => return,
-                        };
+                        let next = shared.jobs.lock().expect("no run panics holding it").recv();
+                        let Ok(job) = next else { return };
                         shared.execute(job);
                     })
                     .expect("spawn worker")
             })
             .collect();
+        server.threads = cfg.threads;
+        server
+    }
+
+    /// The queue, memo and in-flight table with no worker threads: every
+    /// job is run by a client waiting on a reply.
+    fn without_workers(memo: MemoConfig) -> Self {
+        let (tx, rx) = channel::<Job>();
         Self {
-            shared,
+            shared: Arc::new(Shared {
+                memo: MemoStore::new(memo),
+                inflight: Mutex::new(HashMap::new()),
+                jobs: Mutex::new(rx),
+                stats: ServeStats::default(),
+            }),
             tx: Mutex::new(Some(tx)),
-            workers,
-            threads: cfg.threads,
+            workers: Vec::new(),
+            threads: 0,
         }
     }
 
@@ -320,8 +379,8 @@ impl Drop for RunServer {
 enum PendingSlot {
     /// Resolved at submit time (memo hit).
     Ready(ServeResponse),
-    /// Waiting on a worker.
-    Wait(Receiver<ServeResponse>),
+    /// Waiting on the job that runs this key.
+    Wait(Receiver<ServeResponse>, MemoKey),
 }
 
 /// A client handle: submit specs, receive responses in the same order.
@@ -361,7 +420,7 @@ impl ServeClient {
                 key,
                 direct: Some(rtx),
             });
-            self.pending.push_back(PendingSlot::Wait(rrx));
+            self.pending.push_back(PendingSlot::Wait(rrx, key));
             return;
         }
 
@@ -420,7 +479,7 @@ impl ServeClient {
                 direct: None,
             });
         }
-        self.pending.push_back(PendingSlot::Wait(rrx));
+        self.pending.push_back(PendingSlot::Wait(rrx, key));
     }
 
     fn send_job(&self, job: Job) {
@@ -432,14 +491,29 @@ impl ServeClient {
         self.pending.len()
     }
 
-    /// Next response, in submit order. Blocks until ready.
+    /// Next response, in submit order. Until it is ready, runs queued
+    /// jobs (this client's or others') instead of sleeping.
     ///
     /// # Panics
-    /// Panics if nothing is pending.
+    /// Panics if nothing is pending, or if the run behind the response
+    /// panicked (the message names its memo key).
     pub fn recv_response(&mut self) -> ServeResponse {
-        match self.pending.pop_front().expect("no pending request") {
-            PendingSlot::Ready(r) => r,
-            PendingSlot::Wait(rx) => rx.recv().expect("worker never drops a flight"),
+        let (rx, key) = match self.pending.pop_front().expect("no pending request") {
+            PendingSlot::Ready(r) => return r,
+            PendingSlot::Wait(rx, key) => (rx, key),
+        };
+        let failed = || -> ! { panic!("run {key} panicked in the server; no response") };
+        loop {
+            match rx.try_recv() {
+                Ok(r) => return r,
+                Err(TryRecvError::Disconnected) => failed(),
+                Err(TryRecvError::Empty) => {}
+            }
+            let Some(job) = self.shared.try_take() else {
+                return rx.recv().unwrap_or_else(|_| failed());
+            };
+            self.shared.stats.helped.fetch_add(1, Ordering::Relaxed);
+            self.shared.execute(job);
         }
     }
 
@@ -458,5 +532,124 @@ impl ServeClient {
             drop(front);
         }
         self.recv()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Helping, made deterministic: a server with no worker threads
+    //! answers a reply only through a waiting client running the queue.
+
+    use super::*;
+    use crate::spec::{RunKind, WorkloadSpec};
+    use dlb_core::strategy::{Strategy, StrategyConfig};
+    use now_fault::{FailurePolicy, FaultPlan};
+    use now_sim::{ClusterSpec, EngineMode};
+
+    fn spec(iterations: u64) -> RunSpec {
+        RunSpec::new(
+            WorkloadSpec::Uniform {
+                iterations,
+                iter_cost: 0.005,
+                bytes_per_iter: 100,
+            },
+            ClusterSpec::paper_homogeneous(2, 5, 1.0),
+            RunKind::Dlb {
+                cfg: StrategyConfig::paper(Strategy::Gddlb, 2),
+            },
+        )
+        .with_mode(EngineMode::Episode)
+    }
+
+    fn reference(s: &RunSpec) -> String {
+        serde_json::to_string(&s.execute()).expect("serialize")
+    }
+
+    #[test]
+    fn waiting_client_runs_its_own_job() {
+        let server = RunServer::without_workers(MemoConfig::memory_only());
+        let a = spec(100);
+        let mut client = server.client();
+        client.submit(&a);
+        let resp = client.recv_response();
+        assert_eq!(*resp.bytes, reference(&a));
+        assert_eq!(resp.source, Served::Simulated);
+        assert!(resp.counters.is_some());
+        let st = server.stats();
+        assert_eq!((st.misses, st.simulations, st.helped), (1, 1, 1));
+        assert_eq!(server.memo_len(), 1);
+    }
+
+    #[test]
+    fn waiting_client_runs_earlier_jobs_of_another_client() {
+        let server = RunServer::without_workers(MemoConfig::memory_only());
+        let (a1, a2, b) = (spec(101), spec(102), spec(103));
+        let mut first = server.client();
+        let mut second = server.client();
+        first.submit(&a1);
+        first.submit(&a2);
+        second.submit(&b);
+
+        // The queue is a1, a2, b: the second client runs all three to
+        // reach its own reply.
+        let resp = second.recv_response();
+        assert_eq!(*resp.bytes, reference(&b));
+        assert_eq!(server.stats().helped, 3);
+
+        // The first client's replies are already there, in its order.
+        let r1 = first.recv_response();
+        let r2 = first.recv_response();
+        assert_eq!(*r1.bytes, reference(&a1));
+        assert_eq!(*r2.bytes, reference(&a2));
+        assert_eq!(
+            (r1.source, r2.source),
+            (Served::Simulated, Served::Simulated)
+        );
+        let st = server.stats();
+        assert_eq!((st.misses, st.simulations, st.helped), (3, 3, 3));
+    }
+
+    #[test]
+    fn helped_duplicate_simulates_once_and_coalesces() {
+        let server = RunServer::without_workers(MemoConfig::memory_only());
+        let k = spec(104);
+        let mut leader = server.client();
+        let mut follower = server.client();
+        leader.submit(&k);
+        follower.submit(&k);
+
+        let followed = follower.recv_response();
+        let led = leader.recv_response();
+        assert_eq!(*followed.bytes, reference(&k));
+        assert!(Arc::ptr_eq(&followed.bytes, &led.bytes));
+        assert_eq!(followed.source, Served::Coalesced);
+        assert!(followed.counters.is_none());
+        assert_eq!(led.source, Served::Simulated);
+        assert!(led.counters.is_some());
+        let st = server.stats();
+        assert_eq!(
+            (st.misses, st.coalesced, st.simulations, st.helped),
+            (1, 1, 1, 1)
+        );
+    }
+
+    #[test]
+    fn direct_job_panic_fails_its_requester_and_the_helper_serves_on() {
+        let server = RunServer::without_workers(MemoConfig::disabled());
+        let bad = spec(105).with_faults(FaultPlan::crash(99, 0.1), FailurePolicy::default());
+        let good = spec(106);
+        let mut client = server.client();
+        client.submit(&bad);
+        client.submit(&good);
+
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| client.recv_response()))
+            .expect_err("a panicking run has no response");
+        let msg = err.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.contains(&bad.memo_key().to_string()), "{msg}");
+
+        let resp = client.recv_response();
+        assert_eq!(*resp.bytes, reference(&good));
+        let st = server.stats();
+        assert_eq!((st.misses, st.simulations, st.helped), (2, 2, 2));
     }
 }

@@ -5,10 +5,15 @@
 //! reference *and* routed to the submission that asked for it, and the
 //! server's simulation counter must equal the number of distinct specs
 //! — each simulated exactly once no matter how many clients raced on it.
+//!
+//! A second stress mixes in a spec whose run panics, on a one-worker
+//! server so that waiting clients run queued jobs alongside the worker.
 
 use dlb_core::strategy::{Strategy, StrategyConfig};
-use now_serve::{MemoConfig, RunKind, RunServer, RunSpec, ServeConfig, WorkloadSpec};
+use now_fault::{FailurePolicy, FaultPlan};
+use now_serve::{MemoConfig, RunKind, RunServer, RunSpec, ServeClient, ServeConfig, WorkloadSpec};
 use now_sim::{ClusterSpec, EngineMode};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Barrier};
 
 const CLIENTS: usize = 16;
@@ -33,6 +38,40 @@ fn spec(iterations: u64) -> RunSpec {
     .with_mode(EngineMode::Episode)
 }
 
+fn reference(s: &RunSpec) -> String {
+    serde_json::to_string(&s.execute()).expect("serialize")
+}
+
+/// A spec whose run panics: `Engine::with_faults` rejects a crash of
+/// processor 99 on a P=4 cluster.
+fn panicking() -> RunSpec {
+    RunSpec::new(
+        WorkloadSpec::Uniform {
+            iterations: 100,
+            iter_cost: 0.005,
+            bytes_per_iter: 100,
+        },
+        ClusterSpec::paper_homogeneous(4, 5, 1.0),
+        RunKind::Dlb {
+            cfg: StrategyConfig::paper(Strategy::Gddlb, 2),
+        },
+    )
+    .with_faults(FaultPlan::crash(99, 0.1), FailurePolicy::default())
+}
+
+/// Receive the next response, which must be the failure of `bad`.
+fn expect_failure(client: &mut ServeClient, bad: &RunSpec) {
+    let err = catch_unwind(AssertUnwindSafe(|| client.recv_response()))
+        .expect_err("a panicking run has no response");
+    let msg = err
+        .downcast_ref::<String>()
+        .expect("formatted panic message");
+    assert!(
+        msg.contains(&bad.memo_key().to_string()),
+        "failure must name the memo key: {msg}"
+    );
+}
+
 #[test]
 fn sixteen_clients_single_flight() {
     let server = RunServer::new(ServeConfig::new(4, MemoConfig::memory_only()));
@@ -42,7 +81,6 @@ fn sixteen_clients_single_flight() {
     // different clients race on different keys at the same instant)
     // with one spec unique to it.
     let shared: Vec<RunSpec> = (0..SHARED).map(|u| spec(100 + u as u64)).collect();
-    let reference = |s: &RunSpec| serde_json::to_string(&s.execute()).expect("serialize");
     let shared_ref: Vec<String> = shared.iter().map(reference).collect();
 
     let barrier = Arc::new(Barrier::new(CLIENTS));
@@ -96,4 +134,78 @@ fn sixteen_clients_single_flight() {
         stats.memory_hits + stats.coalesced,
         (CLIENTS * 5) as u64 - distinct
     );
+}
+
+#[test]
+fn sixteen_clients_survive_a_panicking_run() {
+    let server = RunServer::new(ServeConfig::new(1, MemoConfig::memory_only()));
+    let shared: Vec<RunSpec> = (0..SHARED).map(|u| spec(200 + u as u64)).collect();
+    let shared_ref: Vec<String> = shared.iter().map(reference).collect();
+    let bad = panicking();
+
+    let barrier = Arc::new(Barrier::new(CLIENTS));
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let (shared, shared_ref, server, bad) = (&shared, &shared_ref, &server, &bad);
+            let barrier = Arc::clone(&barrier);
+            scope.spawn(move || {
+                let unique = spec(2000 + c as u64);
+                let unique_ref = reference(&unique);
+                // `None` marks the panicking spec.
+                let schedule: Vec<(&RunSpec, Option<&str>)> = vec![
+                    (&shared[c % SHARED], Some(&shared_ref[c % SHARED])),
+                    (bad, None),
+                    (&unique, Some(&unique_ref)),
+                    (
+                        &shared[(c + 1) % SHARED],
+                        Some(&shared_ref[(c + 1) % SHARED]),
+                    ),
+                ];
+                let mut client = server.client();
+                barrier.wait();
+                for (s, _) in &schedule {
+                    client.submit(s);
+                }
+                for (i, (_, expect)) in schedule.iter().enumerate() {
+                    match expect {
+                        None => expect_failure(&mut client, bad),
+                        Some(expect) => assert_eq!(
+                            &*client.recv_response().bytes,
+                            *expect,
+                            "client {c}, submission {i}: response routed or computed wrongly"
+                        ),
+                    }
+                }
+            });
+        }
+    });
+
+    // Each distinct good spec simulated once; each attempt at the bad
+    // key (one per flight it led) simulated and failed, and none of them
+    // was memoized.
+    let good = (SHARED + CLIENTS) as u64;
+    let stats = server.stats();
+    assert_eq!(server.memo_len(), good as usize);
+    assert_eq!(stats.simulations, stats.misses);
+    let failed = stats.misses - good;
+    assert!(
+        (1..=CLIENTS as u64).contains(&failed),
+        "{failed} failed attempts"
+    );
+    assert_eq!(stats.requests(), (CLIENTS * 4) as u64);
+
+    // A resubmission of the bad key runs (and fails) again.
+    let mut client = server.client();
+    client.submit(&bad);
+    expect_failure(&mut client, &bad);
+    let after = server.stats();
+    assert_eq!(after.simulations, stats.simulations + 1);
+    assert_eq!(after.misses, stats.misses + 1);
+
+    // The server still serves, and drops without hanging.
+    let fresh = spec(3000);
+    client.submit(&fresh);
+    assert_eq!(*client.recv_response().bytes, reference(&fresh));
+    drop(client);
+    drop(server);
 }
