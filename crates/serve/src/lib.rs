@@ -28,7 +28,8 @@ pub mod spec;
 
 pub use memo::{MemoConfig, MemoStore, Tier};
 pub use server::{
-    RunServer, ServeClient, ServeConfig, ServeResponse, ServeStats, Served, StatsSnapshot,
+    RunFailed, RunServer, ServeClient, ServeConfig, ServeResponse, ServeStats, Served,
+    StatsSnapshot,
 };
 pub use spec::{fnv1a64, MemoKey, RunKind, RunSpec, WorkloadSpec};
 

@@ -173,16 +173,17 @@ pub fn entry_path(dir: &Path, key: MemoKey) -> PathBuf {
 /// Read and validate one disk entry. Any defect — missing file, short
 /// file, wrong magic, wrong key, unparseable payload — yields `None`.
 fn read_disk_entry(path: &Path, key: MemoKey) -> Option<String> {
-    let raw = fs::read_to_string(path).ok()?;
-    let (header, payload) = raw.split_once('\n')?;
-    let expect = format!("{DISK_MAGIC} {key}");
-    if header != expect {
+    let mut raw = fs::read_to_string(path).ok()?;
+    let header_end = raw.find('\n')?;
+    if raw[..header_end] != format!("{DISK_MAGIC} {key}") {
         return None;
     }
-    // The payload must round-trip as a report; a truncated JSON tail
-    // fails here rather than poisoning a consumer downstream.
-    let _: RunReport = serde_json::from_str(payload).ok()?;
-    Some(payload.to_string())
+    raw.drain(..=header_end);
+    // The payload must read back as a report; a truncated JSON tail or
+    // a document of another shape fails here rather than poisoning a
+    // consumer downstream.
+    let _: RunReport = serde_json::from_str(&raw).ok()?;
+    Some(raw)
 }
 
 fn write_disk_entry(dir: &Path, key: MemoKey, bytes: &str) -> std::io::Result<()> {

@@ -47,9 +47,11 @@
 //! A run that panics is caught in `Shared::execute`: its in-flight
 //! entry is removed without publishing, neither memo tier is written,
 //! and every reply sender of the key is dropped, so each requester's
-//! `recv_response` panics with a message naming the memo key. The
-//! thread that ran the job, worker or helping client, keeps serving,
-//! and a later submission of the key simulates it afresh.
+//! [`try_recv_response`](ServeClient::try_recv_response) returns a
+//! [`RunFailed`] naming the memo key (and `recv_response` panics with
+//! its message). The thread that ran the job, worker or helping client,
+//! keeps serving, and a later submission of the key simulates it
+//! afresh.
 //!
 //! A memo-disabled server (benchmarks timing the engine itself) skips
 //! all of this: every submission queues a job with a direct reply
@@ -91,6 +93,22 @@ pub struct ServeResponse {
     pub counters: Option<EngineCounters>,
     pub source: Served,
 }
+
+/// The run behind a response panicked in the server, so there is no
+/// report; a later submission of the spec simulates it again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunFailed {
+    /// Memo key of the failed run.
+    pub key: MemoKey,
+}
+
+impl std::fmt::Display for RunFailed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "run {} panicked in the server; no response", self.key)
+    }
+}
+
+impl std::error::Error for RunFailed {}
 
 impl ServeResponse {
     /// Deserialize the report (hot paths keep the bytes instead).
@@ -388,8 +406,8 @@ pub struct ServeClient {
     shared: Arc<Shared>,
     tx: Sender<Job>,
     pending: VecDeque<PendingSlot>,
-    /// One-entry memo-key cache. Deriving the key means canonicalizing
-    /// and serializing the whole spec — by far the dominant cost of a
+    /// One-entry memo-key cache. Deriving the key means writing the
+    /// whole canonical spec through the hash — the dominant cost of a
     /// warm hit — and a client that re-submits the spec it just sent
     /// (polling, timing loops, probe-then-run patterns) shouldn't pay
     /// it twice. Sound because `RunSpec`'s derived `PartialEq` covers
@@ -495,22 +513,30 @@ impl ServeClient {
     /// jobs (this client's or others') instead of sleeping.
     ///
     /// # Panics
-    /// Panics if nothing is pending, or if the run behind the response
-    /// panicked (the message names its memo key).
+    /// Panics if nothing is pending, or with the [`RunFailed`] message
+    /// if the run behind the response panicked.
     pub fn recv_response(&mut self) -> ServeResponse {
+        self.try_recv_response().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`recv_response`](ServeClient::recv_response), with a run that
+    /// panicked in the server as an error naming its memo key.
+    ///
+    /// # Panics
+    /// Panics if nothing is pending.
+    pub fn try_recv_response(&mut self) -> Result<ServeResponse, RunFailed> {
         let (rx, key) = match self.pending.pop_front().expect("no pending request") {
-            PendingSlot::Ready(r) => return r,
+            PendingSlot::Ready(r) => return Ok(r),
             PendingSlot::Wait(rx, key) => (rx, key),
         };
-        let failed = || -> ! { panic!("run {key} panicked in the server; no response") };
         loop {
             match rx.try_recv() {
-                Ok(r) => return r,
-                Err(TryRecvError::Disconnected) => failed(),
+                Ok(r) => return Ok(r),
+                Err(TryRecvError::Disconnected) => return Err(RunFailed { key }),
                 Err(TryRecvError::Empty) => {}
             }
             let Some(job) = self.shared.try_take() else {
-                return rx.recv().unwrap_or_else(|_| failed());
+                return rx.recv().map_err(|_| RunFailed { key });
             };
             self.shared.stats.helped.fetch_add(1, Ordering::Relaxed);
             self.shared.execute(job);

@@ -10,14 +10,18 @@
 //! is its memo key.
 //!
 //! Canonicalization normalizes every field that provably cannot affect
-//! the run (e.g. the failure policy under an empty fault plan), then
-//! serializes through the derived `Serialize` impls, which emit fields
-//! in declaration order into an ordered map — no `HashMap` iteration
-//! anywhere in the chain, so the bytes are stable across processes,
-//! platforms and reruns. The key is the 64-bit FNV-1a hash of those
-//! bytes; [`now_sim::ENGINE_VERSION`] is folded into the hashed envelope
-//! so any engine-semantics change atomically invalidates every
-//! previously persisted result.
+//! the run (e.g. the failure policy under an empty fault plan). The
+//! keyed envelope `{"engine_version":N,"spec":{…}}` is written by the
+//! derived `Serialize` impls, which stream fields in declaration order
+//! — no `HashMap` iteration anywhere in the chain, so the bytes are
+//! stable across processes, platforms and reruns. The normalization is
+//! applied while writing (the spec is never cloned), and
+//! [`RunSpec::memo_key`] writes the envelope straight into the FNV-1a
+//! state instead of a string: the key is the 64-bit FNV-1a hash of
+//! exactly the bytes [`RunSpec::canonical_bytes`] returns.
+//! [`now_sim::ENGINE_VERSION`] is part of the envelope, so any
+//! engine-semantics change atomically invalidates every previously
+//! persisted result.
 
 use dlb_apps::{MxmConfig, TrfdConfig};
 use dlb_core::loopsched::ChunkScheme;
@@ -25,7 +29,9 @@ use dlb_core::strategy::{AdaptiveConfig, StrategyConfig};
 use dlb_core::work::{LoopWorkload, UniformLoop};
 use now_fault::{FailurePolicy, FaultPlan};
 use now_sim::{ClusterSpec, Engine, EngineCounters, EngineMode, RunReport, ENGINE_VERSION};
-use serde::{Deserialize, Serialize};
+use serde::ser::Output;
+use serde::{Deserialize, Serialize, Writer};
+use std::borrow::Cow;
 
 /// A serializable workload description — the closed set of loop shapes
 /// the experiments run. [`WorkloadSpec::build`] reconstructs the exact
@@ -142,15 +148,32 @@ impl RunSpec {
     /// * the task-queue baseline ignores plan, policy and engine mode
     ///   entirely, so all three reset (the mode to its default).
     pub fn canonical(&self) -> RunSpec {
-        let mut c = self.clone();
-        if matches!(c.kind, RunKind::TaskQueue { .. }) {
-            c.plan = FaultPlan::default();
-            c.mode = EngineMode::default();
+        let (plan, policy, mode) = self.canonical_parts();
+        RunSpec {
+            workload: self.workload.clone(),
+            cluster: self.cluster.clone(),
+            kind: self.kind.clone(),
+            plan: plan.into_owned(),
+            policy,
+            mode,
         }
-        if c.plan.is_empty() {
-            c.policy = FailurePolicy::default();
-        }
-        c
+    }
+
+    /// The fields [`RunSpec::canonical`] normalizes, as they stand in
+    /// the canonical spec.
+    fn canonical_parts(&self) -> (Cow<'_, FaultPlan>, FailurePolicy, EngineMode) {
+        let task_queue = matches!(self.kind, RunKind::TaskQueue { .. });
+        let (plan, mode) = if task_queue {
+            (Cow::Owned(FaultPlan::default()), EngineMode::default())
+        } else {
+            (Cow::Borrowed(&self.plan), self.mode)
+        };
+        let policy = if plan.is_empty() {
+            FailurePolicy::default()
+        } else {
+            self.policy
+        };
+        (plan, policy, mode)
     }
 
     /// Canonical serialization of the keyed envelope (engine version +
@@ -161,14 +184,41 @@ impl RunSpec {
 
     /// [`RunSpec::canonical_bytes`] under an explicit engine version
     /// (exposed so tests can prove a version bump changes the key).
-    ///
-    /// The spec serializes through the derived `Serialize` impls, which
-    /// emit fields in declaration order into an ordered map — nothing
-    /// in the chain iterates a `HashMap`, so the bytes (and hence the
-    /// key) are stable across processes, platforms and reruns.
     pub fn canonical_bytes_with_version(&self, engine_version: u32) -> String {
-        let spec = serde_json::to_string(&self.canonical()).expect("run specs always serialize");
-        format!("{{\"engine_version\":{engine_version},\"spec\":{spec}}}")
+        let mut w = Writer::compact(String::new());
+        self.write_canonical(engine_version, &mut w);
+        w.into_inner()
+    }
+
+    /// Write `{"engine_version":N,"spec":<canonical spec>}`: the fields
+    /// of [`RunSpec`] in declaration order, as its derived `Serialize`
+    /// writes them, with [`RunSpec::canonical`]'s normalization applied
+    /// on the way.
+    fn write_canonical<O: Output>(&self, engine_version: u32, w: &mut Writer<O>) {
+        let (plan, policy, mode) = self.canonical_parts();
+        let mut write = || -> Result<(), serde::Error> {
+            w.begin_object();
+            w.key("engine_version");
+            w.u64(engine_version.into());
+            w.key("spec");
+            w.begin_object();
+            w.key("workload");
+            self.workload.serialize(w)?;
+            w.key("cluster");
+            self.cluster.serialize(w)?;
+            w.key("kind");
+            self.kind.serialize(w)?;
+            w.key("plan");
+            plan.serialize(w)?;
+            w.key("policy");
+            policy.serialize(w)?;
+            w.key("mode");
+            mode.serialize(w)?;
+            w.end_object();
+            w.end_object();
+            Ok(())
+        };
+        write().expect("run specs always serialize");
     }
 
     /// Content address of this spec under the current
@@ -177,11 +227,12 @@ impl RunSpec {
         self.memo_key_with_version(ENGINE_VERSION)
     }
 
-    /// [`RunSpec::memo_key`] under an explicit engine version.
+    /// [`RunSpec::memo_key`] under an explicit engine version: the
+    /// canonical envelope written straight into the hash state.
     pub fn memo_key_with_version(&self, engine_version: u32) -> MemoKey {
-        MemoKey(fnv1a64(
-            self.canonical_bytes_with_version(engine_version).as_bytes(),
-        ))
+        let mut w = Writer::compact(Fnv1a::default());
+        self.write_canonical(engine_version, &mut w);
+        MemoKey(w.into_inner().0)
     }
 
     /// Execute the spec. Pure: two executions of equal specs produce
@@ -240,12 +291,33 @@ impl std::fmt::Display for MemoKey {
 
 /// 64-bit FNV-1a over a byte string.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::default();
+    h.update(bytes);
+    h.0
+}
+
+/// FNV-1a state; as a writer [`Output`] it hashes the text it is given.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl Output for Fnv1a {
+    fn write(&mut self, s: &str) {
+        self.update(s.as_bytes());
+    }
 }
 
 #[cfg(test)]

@@ -135,8 +135,9 @@ fn engine_version_bump_invalidates_all_prior_entries() {
     }
 }
 
-/// A corrupt on-disk entry — truncated tail, garbage bytes, or a wrong
-/// header — is a miss: the server re-simulates (and heals the entry),
+/// A corrupt on-disk entry — truncated tail, garbage bytes, a wrong
+/// header, valid JSON of the wrong shape, or a payload cut off inside a
+/// number — is a miss: the server re-simulates (and heals the entry),
 /// it does not panic and it cannot serve the damaged bytes.
 #[test]
 fn corrupt_disk_entries_miss_and_heal() {
@@ -164,13 +165,27 @@ fn corrupt_disk_entries_miss_and_heal() {
     }
     let valid = std::fs::read_to_string(&path).expect("entry written");
 
-    let corruptions: [(&str, String); 3] = [
+    let (header, payload) = valid.split_once('\n').expect("header line");
+    let with_payload = |payload: &str| format!("{header}\n{payload}");
+    // Cut between the first two adjacent digits of the payload.
+    let digits = payload
+        .as_bytes()
+        .windows(2)
+        .position(|w| w.iter().all(u8::is_ascii_digit))
+        .expect("the report has a multi-digit number");
+    let corruptions: [(&str, String); 6] = [
         ("truncated", valid[..valid.len() / 2].to_string()),
         ("garbage", "\x00\x01not a memo file at all".to_string()),
         (
             "wrong header",
             valid.replacen("dlb-memo v1", "dlb-memo v0", 1),
         ),
+        ("empty object", with_payload("{}")),
+        (
+            "a spec stored as the report",
+            with_payload(&serde_json::to_string(&spec).expect("serialize")),
+        ),
+        ("cut inside a number", with_payload(&payload[..=digits])),
     ];
     for (what, bytes) in corruptions {
         std::fs::write(&path, bytes).expect("corrupt the entry");

@@ -8,10 +8,14 @@
 //!
 //! A second stress mixes in a spec whose run panics, on a one-worker
 //! server so that waiting clients run queued jobs alongside the worker.
+//! Its requesters see the failure either as `recv_response`'s panic or
+//! as `try_recv_response`'s typed `RunFailed`, both naming the memo key.
 
 use dlb_core::strategy::{Strategy, StrategyConfig};
 use now_fault::{FailurePolicy, FaultPlan};
-use now_serve::{MemoConfig, RunKind, RunServer, RunSpec, ServeClient, ServeConfig, WorkloadSpec};
+use now_serve::{
+    MemoConfig, RunFailed, RunKind, RunServer, RunSpec, ServeClient, ServeConfig, WorkloadSpec,
+};
 use now_sim::{ClusterSpec, EngineMode};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Barrier};
@@ -57,6 +61,12 @@ fn panicking() -> RunSpec {
         },
     )
     .with_faults(FaultPlan::crash(99, 0.1), FailurePolicy::default())
+}
+
+/// Receive the next response, which must be the typed failure of `bad`.
+fn expect_typed_failure(client: &mut ServeClient, bad: &RunSpec) {
+    let key = bad.memo_key();
+    assert_eq!(client.try_recv_response().err(), Some(RunFailed { key }));
 }
 
 /// Receive the next response, which must be the failure of `bad`.
@@ -168,7 +178,10 @@ fn sixteen_clients_survive_a_panicking_run() {
                 }
                 for (i, (_, expect)) in schedule.iter().enumerate() {
                     match expect {
-                        None => expect_failure(&mut client, bad),
+                        // Half the clients take the panic, half the
+                        // typed error.
+                        None if c % 2 == 0 => expect_failure(&mut client, bad),
+                        None => expect_typed_failure(&mut client, bad),
                         Some(expect) => assert_eq!(
                             &*client.recv_response().bytes,
                             *expect,
@@ -194,13 +207,16 @@ fn sixteen_clients_survive_a_panicking_run() {
     );
     assert_eq!(stats.requests(), (CLIENTS * 4) as u64);
 
-    // A resubmission of the bad key runs (and fails) again.
+    // A resubmission of the bad key runs (and fails) again, whichever
+    // way it is received.
     let mut client = server.client();
     client.submit(&bad);
     expect_failure(&mut client, &bad);
+    client.submit(&bad);
+    expect_typed_failure(&mut client, &bad);
     let after = server.stats();
-    assert_eq!(after.simulations, stats.simulations + 1);
-    assert_eq!(after.misses, stats.misses + 1);
+    assert_eq!(after.simulations, stats.simulations + 2);
+    assert_eq!(after.misses, stats.misses + 2);
 
     // The server still serves, and drops without hanging.
     let fresh = spec(3000);
