@@ -13,25 +13,26 @@
 //! piecewise-constant load functions in this crate.
 
 use crate::effective::inverse_slowdown_integral;
-use crate::func::LoadFunction;
-use std::sync::Arc;
+use crate::func::LoadSpec;
 
 /// A processor's work clock: speed `S` relative to the base processor plus
 /// its external load function.
 #[derive(Clone)]
 pub struct WorkClock {
-    load: Arc<dyn LoadFunction>,
+    load: LoadSpec,
     speed: f64,
 }
 
 impl WorkClock {
     /// # Panics
-    /// Panics if `speed` is not positive and finite.
-    pub fn new(load: Arc<dyn LoadFunction>, speed: f64) -> Self {
+    /// Panics if `speed` is not positive and finite, or if the load's
+    /// persistence is not (see [`LoadSpec::validate`]).
+    pub fn new(load: LoadSpec, speed: f64) -> Self {
         assert!(
             speed > 0.0 && speed.is_finite(),
             "speed must be positive, got {speed}"
         );
+        load.validate();
         Self { load, speed }
     }
 
@@ -41,7 +42,7 @@ impl WorkClock {
     }
 
     /// The load function driving this clock.
-    pub fn load(&self) -> &Arc<dyn LoadFunction> {
+    pub fn load(&self) -> &LoadSpec {
         &self.load
     }
 
@@ -77,7 +78,7 @@ impl WorkClock {
 
     /// Base-seconds of work this processor completes during `[t0, t1]`.
     pub fn work_in_window(&self, t0: f64, t1: f64) -> f64 {
-        self.speed * inverse_slowdown_integral(self.load.as_ref(), t0, t1)
+        self.speed * inverse_slowdown_integral(&self.load, t0, t1)
     }
 
     /// Analytic inverse of chaining [`WorkClock::finish_time`] over a run
@@ -116,8 +117,8 @@ impl WorkClock {
 /// `finish_time` once per step; the win is that the load function is
 /// queried once per persistence span instead of once per step.
 ///
-/// Why caching is exact: every [`LoadFunction`] in this crate derives its
-/// time-based queries from the trait defaults, so `slowdown_at(t)` depends
+/// Why caching is exact: the load is a [`LoadSpec`], whose time-based
+/// queries all come from one implementation, so `slowdown_at(t)` depends
 /// only on `interval_of(t) = ⌊t/t_l⌋`, and `next_change_after(t)` returns
 /// the first `fl(m·t_l)` strictly greater than `t`. The cursor re-uses a
 /// cached `(slowdown, boundary)` pair only when the current time has the
@@ -128,7 +129,7 @@ impl WorkClock {
 /// through to fresh queries.
 pub struct ClockCursor<'c> {
     clock: &'c WorkClock,
-    /// `persistence()` is constant per load function; fetched once.
+    /// `persistence()` is constant per load; fetched once.
     tl: f64,
     /// Interval index the cached pair was queried at.
     idx: u64,
@@ -178,7 +179,7 @@ impl<'c> ClockCursor<'c> {
         let mut remaining = work / self.clock.speed;
         let mut t = start;
         loop {
-            // Replicates LoadFunction::interval_of's default arithmetic.
+            // LoadSpec::interval_of's quotient, before its boundary snap.
             let idx = (t / self.tl).floor() as u64;
             if !(self.valid && idx == self.idx && t >= self.cached_at && t < self.boundary) {
                 self.idx = idx;
@@ -271,29 +272,39 @@ impl std::fmt::Debug for WorkClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::func::{ConstantLoad, DiscreteRandomLoad, TraceLoad, ZeroLoad};
 
-    fn clock(load: impl LoadFunction + 'static, speed: f64) -> WorkClock {
-        WorkClock::new(Arc::new(load), speed)
+    fn random(seed: u64, max_load: u32, persistence: f64) -> LoadSpec {
+        LoadSpec::DiscreteRandom {
+            seed,
+            max_load,
+            persistence,
+        }
+    }
+
+    fn trace(levels: Vec<u32>, persistence: f64) -> LoadSpec {
+        LoadSpec::Trace {
+            levels,
+            persistence,
+        }
     }
 
     #[test]
     fn unloaded_unit_speed_is_identity() {
-        let c = clock(ZeroLoad, 1.0);
+        let c = WorkClock::new(LoadSpec::Zero, 1.0);
         assert!((c.finish_time(2.0, 3.5) - 5.5).abs() < 1e-12);
         assert!((c.work_in_window(2.0, 5.5) - 3.5).abs() < 1e-12);
     }
 
     #[test]
     fn speed_scales_time() {
-        let c = clock(ZeroLoad, 2.0);
+        let c = WorkClock::new(LoadSpec::Zero, 2.0);
         // 4 base-seconds of work at speed 2 -> 2 wall seconds.
         assert!((c.finish_time(0.0, 4.0) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn constant_load_scales_time() {
-        let c = clock(ConstantLoad::new(1), 1.0); // slowdown 2
+        let c = WorkClock::new(LoadSpec::Constant { level: 1 }, 1.0); // slowdown 2
         assert!((c.finish_time(0.0, 3.0) - 6.0).abs() < 1e-12);
         assert!((c.work_in_window(0.0, 6.0) - 3.0).abs() < 1e-12);
     }
@@ -301,7 +312,7 @@ mod tests {
     #[test]
     fn finish_time_crosses_load_boundaries() {
         // slowdown 1 for [0,1), then 2 for [1,2), then 1 after.
-        let c = clock(TraceLoad::new(vec![0, 1, 0], 1.0), 1.0);
+        let c = WorkClock::new(trace(vec![0, 1, 0], 1.0), 1.0);
         // 1.75 base-seconds: 1.0 done by t=1, 0.5 done during [1,2) (takes
         // 1.0 wall), remaining 0.25 done at full speed -> t = 2.25.
         let t = c.finish_time(0.0, 1.75);
@@ -310,8 +321,7 @@ mod tests {
 
     #[test]
     fn finish_and_window_are_inverse() {
-        let load = DiscreteRandomLoad::new(77, 5, 0.3);
-        let c = WorkClock::new(Arc::new(load), 1.7);
+        let c = WorkClock::new(random(77, 5, 0.3), 1.7);
         for &(start, work) in &[(0.0, 0.5), (0.2, 3.0), (1.9, 10.0), (5.0, 0.0)] {
             let end = c.finish_time(start, work);
             let back = c.work_in_window(start, end);
@@ -321,20 +331,20 @@ mod tests {
 
     #[test]
     fn zero_work_finishes_immediately() {
-        let c = clock(ConstantLoad::new(5), 1.0);
+        let c = WorkClock::new(LoadSpec::Constant { level: 5 }, 1.0);
         assert_eq!(c.finish_time(3.0, 0.0), 3.0);
     }
 
     #[test]
     fn rate_at_tracks_load() {
-        let c = clock(TraceLoad::new(vec![0, 4], 1.0), 2.0);
+        let c = WorkClock::new(trace(vec![0, 4], 1.0), 2.0);
         assert!((c.rate_at(0.5) - 2.0).abs() < 1e-12);
         assert!((c.rate_at(1.5) - 0.4).abs() < 1e-12);
     }
 
     #[test]
     fn work_in_window_monotone_in_t1() {
-        let c = clock(DiscreteRandomLoad::new(3, 5, 0.25), 1.0);
+        let c = WorkClock::new(random(3, 5, 0.25), 1.0);
         let mut prev = 0.0;
         for i in 1..40 {
             let w = c.work_in_window(0.0, i as f64 * 0.1);
@@ -346,7 +356,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "speed")]
     fn non_positive_speed_rejected() {
-        let _ = clock(ZeroLoad, 0.0);
+        let _ = WorkClock::new(LoadSpec::Zero, 0.0);
+    }
+
+    #[test]
+    fn bad_persistence_rejected() {
+        for tl in [0.0, -0.5, f64::NAN, f64::INFINITY] {
+            for load in [random(0, 5, tl), trace(vec![1, 2], tl)] {
+                let err = std::panic::catch_unwind(|| WorkClock::new(load.clone(), 1.0))
+                    .expect_err(&format!("{load:?} accepted"));
+                let msg = err.downcast_ref::<String>().expect("formatted message");
+                assert!(msg.contains("persistence"), "{msg}");
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -354,7 +376,7 @@ mod tests {
 
     #[test]
     fn cursor_matches_finish_time_exactly_across_boundaries() {
-        let c = clock(TraceLoad::new(vec![0, 3, 1, 5, 0, 2], 0.3), 1.4);
+        let c = WorkClock::new(trace(vec![0, 3, 1, 5, 0, 2], 0.3), 1.4);
         let works = [0.05, 0.7, 0.001, 0.3, 2.0, 0.0, 0.11];
         let mut cur = ClockCursor::new(&c);
         let mut t_chain = 0.013;
@@ -368,7 +390,7 @@ mod tests {
 
     #[test]
     fn uniform_chain_matches_per_call_chain_exactly() {
-        let c = clock(DiscreteRandomLoad::new(7, 5, 0.17), 1.3);
+        let c = WorkClock::new(random(7, 5, 0.17), 1.3);
         for &(start, work, n) in &[(0.0, 0.05, 200u64), (0.4, 0.0, 8), (2.1, 0.73, 50)] {
             let mut fast = Vec::new();
             ClockCursor::new(&c).finish_times_uniform(start, work, n, &mut fast);
@@ -395,7 +417,7 @@ mod tests {
     fn uniform_chain_appends_after_prior_cursor_use() {
         // The engine reuses one cursor for a leading non-uniform prefix
         // and a uniform tail; the fast path must respect the warm cache.
-        let c = clock(DiscreteRandomLoad::new(21, 5, 0.09), 0.8);
+        let c = WorkClock::new(random(21, 5, 0.09), 0.8);
         let mut cur = ClockCursor::new(&c);
         let warm = cur.finish_time(0.05, 0.3);
         let mut fast = Vec::new();
@@ -411,7 +433,7 @@ mod tests {
     fn cursor_exact_after_external_displacement() {
         // A caller (the simulator's stall handling) may displace the next
         // start past the cached boundary; the cursor must re-query.
-        let c = clock(DiscreteRandomLoad::new(42, 5, 0.5), 1.0);
+        let c = WorkClock::new(random(42, 5, 0.5), 1.0);
         let mut cur = ClockCursor::new(&c);
         let a = cur.finish_time(0.1, 0.2);
         assert_eq!(a.to_bits(), c.finish_time(0.1, 0.2).to_bits());
@@ -436,7 +458,7 @@ mod tests {
 
     #[test]
     fn iters_completed_by_inverts_chain_on_trace() {
-        let c = clock(TraceLoad::new(vec![1, 0, 4, 2], 0.5), 1.0);
+        let c = WorkClock::new(trace(vec![1, 0, 4, 2], 0.5), 1.0);
         let costs = [0.2, 0.2, 0.2, 0.2, 0.2];
         let prefix = prefix_of(&costs);
         let start = 0.0;
@@ -456,14 +478,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "precedes")]
     fn iters_completed_by_rejects_inverted_window() {
-        let c = clock(ZeroLoad, 1.0);
+        let c = WorkClock::new(LoadSpec::Zero, 1.0);
         let _ = c.iters_completed_by(2.0, 1.0, &[0.0]);
     }
 
     #[test]
     #[should_panic(expected = "work")]
     fn negative_work_rejected() {
-        let c = clock(ZeroLoad, 1.0);
+        let c = WorkClock::new(LoadSpec::Zero, 1.0);
         let _ = c.finish_time(0.0, -1.0);
     }
 
@@ -474,7 +496,7 @@ mod tests {
         /// A paper-style random-load clock: persistence spans comparable
         /// to iteration costs, so chains cross many level boundaries.
         fn rand_clock(seed: u64, max: u32, tl: f64, speed: f64) -> WorkClock {
-            WorkClock::new(Arc::new(DiscreteRandomLoad::new(seed, max, tl)), speed)
+            WorkClock::new(super::random(seed, max, tl), speed)
         }
 
         proptest! {

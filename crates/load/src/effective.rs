@@ -20,14 +20,14 @@
 //! ([`effective_load_exact`]) that the simulator's measured rates converge
 //! to.
 
-use crate::func::LoadFunction;
+use crate::func::LoadSpec;
 
 /// The paper's interval-index effective load `λ` over `(t0, t1]`.
 ///
 /// Uses `a = ⌈t0/t_l⌉`, `b = ⌈t1/t_l⌉` exactly as in Section 4.2. Returns a
 /// value `≥ 1` (1 means no external load). For a zero-length window it
 /// returns the instantaneous slowdown at `t0`.
-pub fn effective_load_paper(load: &dyn LoadFunction, t0: f64, t1: f64) -> f64 {
+pub fn effective_load_paper(load: &LoadSpec, t0: f64, t1: f64) -> f64 {
     debug_assert!(t1 >= t0 && t0 >= 0.0);
     let tl = load.persistence();
     let a = (t0 / tl).ceil() as u64;
@@ -45,7 +45,7 @@ pub fn effective_load_paper(load: &dyn LoadFunction, t0: f64, t1: f64) -> f64 {
 ///
 /// This is the value an online iterations-per-second measurement converges
 /// to. For `t1 == t0` returns the instantaneous slowdown.
-pub fn effective_load_exact(load: &dyn LoadFunction, t0: f64, t1: f64) -> f64 {
+pub fn effective_load_exact(load: &LoadSpec, t0: f64, t1: f64) -> f64 {
     debug_assert!(t1 >= t0 && t0 >= 0.0);
     if t1 == t0 {
         return load.slowdown_at(t0);
@@ -55,7 +55,7 @@ pub fn effective_load_exact(load: &dyn LoadFunction, t0: f64, t1: f64) -> f64 {
 
 /// `∫_{t0}^{t1} 1/(ℓ(u)+1) du` — the amount of *base-speed work time*
 /// available in the window to a unit-speed processor.
-pub fn inverse_slowdown_integral(load: &dyn LoadFunction, t0: f64, t1: f64) -> f64 {
+pub fn inverse_slowdown_integral(load: &LoadSpec, t0: f64, t1: f64) -> f64 {
     debug_assert!(t1 >= t0 && t0 >= 0.0);
     let mut acc = 0.0;
     let mut t = t0;
@@ -67,25 +67,26 @@ pub fn inverse_slowdown_integral(load: &dyn LoadFunction, t0: f64, t1: f64) -> f
     acc
 }
 
-/// Average effective speed `S/λ` over a window, using the paper's formula.
-pub fn effective_speed(load: &dyn LoadFunction, speed: f64, t0: f64, t1: f64) -> f64 {
-    speed / effective_load_paper(load, t0, t1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::func::{ConstantLoad, TraceLoad, ZeroLoad};
+
+    fn trace(levels: Vec<u32>, persistence: f64) -> LoadSpec {
+        LoadSpec::Trace {
+            levels,
+            persistence,
+        }
+    }
 
     #[test]
     fn zero_load_has_unit_effective_load() {
-        assert!((effective_load_paper(&ZeroLoad, 0.0, 10.0) - 1.0).abs() < 1e-12);
-        assert!((effective_load_exact(&ZeroLoad, 0.0, 10.0) - 1.0).abs() < 1e-12);
+        assert!((effective_load_paper(&LoadSpec::Zero, 0.0, 10.0) - 1.0).abs() < 1e-12);
+        assert!((effective_load_exact(&LoadSpec::Zero, 0.0, 10.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn constant_load_effective_equals_slowdown() {
-        let f = ConstantLoad::new(4);
+        let f = LoadSpec::Constant { level: 4 };
         assert!((effective_load_paper(&f, 0.0, 7.3) - 5.0).abs() < 1e-12);
         assert!((effective_load_exact(&f, 0.0, 7.3) - 5.0).abs() < 1e-12);
     }
@@ -94,14 +95,14 @@ mod tests {
     fn alternating_trace_harmonic_mean() {
         // Levels 0 and 1 alternating: slowdowns 1 and 2.
         // Exact λ over two full intervals = 2 / (1/1 + 1/2) = 4/3.
-        let f = TraceLoad::new(vec![0, 1, 0, 1, 0, 1, 0, 1], 1.0);
+        let f = trace(vec![0, 1, 0, 1, 0, 1, 0, 1], 1.0);
         let lambda = effective_load_exact(&f, 0.0, 2.0);
         assert!((lambda - 4.0 / 3.0).abs() < 1e-12, "λ = {lambda}");
     }
 
     #[test]
     fn paper_formula_on_aligned_window_matches_exact() {
-        let f = TraceLoad::new(vec![2, 2, 2, 2], 1.0);
+        let f = trace(vec![2, 2, 2, 2], 1.0);
         let p = effective_load_paper(&f, 0.0, 3.0);
         let e = effective_load_exact(&f, 0.0, 3.0);
         assert!((p - e).abs() < 1e-12);
@@ -110,7 +111,7 @@ mod tests {
 
     #[test]
     fn integral_is_additive() {
-        let f = TraceLoad::new(vec![0, 3, 1, 5, 2], 0.7);
+        let f = trace(vec![0, 3, 1, 5, 2], 0.7);
         let whole = inverse_slowdown_integral(&f, 0.0, 3.0);
         let split =
             inverse_slowdown_integral(&f, 0.0, 1.234) + inverse_slowdown_integral(&f, 1.234, 3.0);
@@ -121,21 +122,14 @@ mod tests {
     fn integral_handles_partial_intervals() {
         // Level 1 (slowdown 2) everywhere; half a second of wall time gives
         // a quarter second of base work... no: 0.5 / 2 = 0.25.
-        let f = ConstantLoad::with_persistence(1, 1.0);
+        let f = LoadSpec::Constant { level: 1 };
         let got = inverse_slowdown_integral(&f, 0.25, 0.75);
         assert!((got - 0.25).abs() < 1e-12);
     }
 
     #[test]
-    fn effective_speed_scales_with_processor_speed() {
-        let f = ConstantLoad::new(1); // slowdown 2
-        let s = effective_speed(&f, 3.0, 0.0, 5.0);
-        assert!((s - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn effective_load_bounded_by_max_slowdown() {
-        let f = TraceLoad::new(vec![5, 0, 3, 1, 4, 2, 5, 0], 0.5);
+        let f = trace(vec![5, 0, 3, 1, 4, 2, 5, 0], 0.5);
         let lam = effective_load_exact(&f, 0.0, 4.0);
         assert!((1.0..=6.0).contains(&lam), "λ = {lam}");
         let lam_p = effective_load_paper(&f, 0.0, 4.0);
@@ -144,7 +138,7 @@ mod tests {
 
     #[test]
     fn zero_width_window_gives_instantaneous_slowdown() {
-        let f = TraceLoad::new(vec![2, 4], 1.0);
+        let f = trace(vec![2, 4], 1.0);
         assert!((effective_load_exact(&f, 1.5, 1.5) - 5.0).abs() < 1e-12);
     }
 }

@@ -10,13 +10,15 @@
 //!
 //! This crate provides:
 //!
-//! * [`LoadFunction`] — the trait every load model implements (level per
-//!   persistence interval, persistence duration, time-based queries);
-//! * [`DiscreteRandomLoad`] — the paper's generator (stateless, seeded, O(1)
-//!   random access so queries need not be in time order);
-//! * [`TraceLoad`], [`ConstantLoad`], [`ZeroLoad`], [`PhasedLoad`] —
-//!   deterministic models for tests, baselines and failure injection;
-//! * [`effective`] — effective-load/effective-speed math (the `λ_i(j)` of
+//! * [`LoadSpec`] — the one load type: a serializable enum that is both
+//!   the config every cluster and memo key carries and the load function
+//!   itself (level per persistence interval, persistence duration,
+//!   time-based queries). Its variants are the paper's generator
+//!   (`DiscreteRandom`: stateless, seeded, O(1) random access so queries
+//!   need not be in time order) and the deterministic `Trace`,
+//!   `Constant` and `Zero` loads used by tests, baselines and drift
+//!   cells;
+//! * [`effective`] — effective-load math (the `λ_i(j)` of
 //!   Section 4.2), both the paper's interval-index approximation and an
 //!   exact time-weighted integral;
 //! * [`clock`] — work/time conversion under a load function: how long does
@@ -29,10 +31,8 @@ pub mod func;
 pub mod splitmix;
 
 pub use clock::{ClockCursor, WorkClock};
-pub use effective::{effective_load_exact, effective_load_paper, effective_speed};
-pub use func::{
-    ConstantLoad, DiscreteRandomLoad, LoadFunction, LoadSpec, PhasedLoad, TraceLoad, ZeroLoad,
-};
+pub use effective::{effective_load_exact, effective_load_paper};
+pub use func::LoadSpec;
 pub use splitmix::SplitMix64;
 
 /// The paper's default maximum load amplitude (`m_l = 5`).

@@ -46,7 +46,7 @@ impl SplitMix64 {
     }
 
     /// Hash a `(seed, index)` pair to a uniform `u64` — the random-access
-    /// primitive behind [`crate::DiscreteRandomLoad`].
+    /// primitive behind [`crate::LoadSpec::DiscreteRandom`].
     #[inline]
     pub fn hash2(seed: u64, index: u64) -> u64 {
         Self::mix(seed ^ Self::mix(index))

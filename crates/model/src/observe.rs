@@ -66,7 +66,7 @@ impl ObservedSystem {
             "observed system needs at least one live processor"
         );
         SystemModel {
-            loads: self.rates.iter().map(|_| LoadSpec::Zero.build()).collect(),
+            loads: vec![LoadSpec::Zero; self.rates.len()],
             speeds: self.rates.clone(),
             comm,
             calc_cost,

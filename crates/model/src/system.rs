@@ -1,8 +1,7 @@
 //! The system description the model evaluates against.
 
-use now_load::{LoadFunction, LoadSpec, WorkClock};
+use now_load::{LoadSpec, WorkClock};
 use now_net::{characterize, CommCostModel, NetworkParams};
-use std::sync::Arc;
 
 /// Everything the model needs to know about the machine: processor speeds,
 /// load functions, and the characterized network.
@@ -15,7 +14,7 @@ pub struct SystemModel {
     /// Relative processor speeds `S_i`.
     pub speeds: Vec<f64>,
     /// Per-processor external load functions `ℓ_i`.
-    pub loads: Vec<Arc<dyn LoadFunction>>,
+    pub loads: Vec<LoadSpec>,
     /// Fitted communication-pattern cost model (Fig. 4's polynomials).
     pub comm: CommCostModel,
     /// Balancer calculation cost `ξ`, seconds.
@@ -31,11 +30,12 @@ impl SystemModel {
     pub fn from_specs(speeds: Vec<f64>, loads: &[LoadSpec], net: NetworkParams) -> Self {
         assert_eq!(speeds.len(), loads.len(), "speeds/loads length mismatch");
         assert!(!speeds.is_empty(), "need at least one processor");
+        loads.iter().for_each(LoadSpec::validate);
         let max = speeds.len().max(4);
         let report = characterize(net, max, CONTROL_MSG_BYTES);
         Self {
             speeds,
-            loads: loads.iter().map(LoadSpec::build).collect(),
+            loads: loads.to_vec(),
             comm: report.model,
             calc_cost: 1e-3,
         }
@@ -51,7 +51,7 @@ impl SystemModel {
         self.speeds
             .iter()
             .zip(&self.loads)
-            .map(|(&s, l)| WorkClock::new(Arc::clone(l), s))
+            .map(|(&s, l)| WorkClock::new(l.clone(), s))
             .collect()
     }
 }

@@ -32,9 +32,7 @@ pub mod patterns;
 pub mod polyfit;
 
 pub use charact::{characterize, CharacterizationReport, CommCostModel};
-pub use medium::{
-    stretch_delivery, ContentionState, EndpointFactors, EpisodeSchedule, MediumSim, Transmission,
-};
+pub use medium::{stretch_delivery, EndpointFactors, MediumSim, Transmission};
 pub use params::{MediumKind, NetworkParams};
 pub use patterns::{measure_pattern, Pattern};
 pub use polyfit::{polyfit, Poly};

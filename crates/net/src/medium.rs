@@ -33,8 +33,8 @@ pub struct Transmission {
 ///
 /// This is the **single** delay-inflation arithmetic of the simulator's
 /// send path, which the event loop and the episode fast-forward replay
-/// share, mirroring how [`ContentionState`]'s per-message step is the
-/// single contention core — both apply the exact same float ops in the
+/// share, mirroring how [`MediumSim`]'s per-message step is the single
+/// contention core — both apply the exact same float ops in the
 /// same order, so a replayed delayed message cannot drift from the event
 /// loop's delivery time.
 pub fn stretch_delivery(now: f64, delivered: f64, factor: f64) -> f64 {
@@ -59,158 +59,8 @@ impl Default for EndpointFactors {
     }
 }
 
-/// The FCFS queueing state of a medium: when each sender CPU, the shared
-/// wire, and each receiver CPU next come free.
-///
-/// This is the *entire* mutable state of the arbiter, and one private
-/// per-message FCFS step is the single implementation of the
-/// contention-update arithmetic. [`ContentionState::schedule`] runs it
-/// for one message and [`ContentionState::fanout`] for each message of a
-/// one-sender broadcast. Both the event-loop path
-/// ([`MediumSim::send_with_factors`], [`MediumSim::fanout`]) and the
-/// speculative episode replay ([`EpisodeSchedule::send`],
-/// [`EpisodeSchedule::fanout`]) call them on a value of this type, so a
-/// replayed message schedule cannot drift from what the event loop would
-/// have computed — same float ops, same order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ContentionState {
-    bus_free_at: f64,
-    send_port_free: Vec<f64>,
-    recv_port_free: Vec<f64>,
-}
-
-impl ContentionState {
-    /// All ports and the wire free at time 0.
-    pub fn new(nodes: usize) -> Self {
-        assert!(nodes > 0, "a network needs at least one node");
-        Self {
-            bus_free_at: 0.0,
-            send_port_free: vec![0.0; nodes],
-            recv_port_free: vec![0.0; nodes],
-        }
-    }
-
-    /// Number of nodes this state arbitrates.
-    pub fn nodes(&self) -> usize {
-        self.send_port_free.len()
-    }
-
-    /// All ports and the wire free immediately.
-    pub fn reset(&mut self) {
-        self.bus_free_at = 0.0;
-        self.send_port_free.fill(0.0);
-        self.recv_port_free.fill(0.0);
-    }
-
-    /// Copy `src` into `self`, reusing the existing allocations (the
-    /// episode fast-forward path re-snapshots once per episode).
-    pub fn copy_from(&mut self, src: &ContentionState) {
-        self.bus_free_at = src.bus_free_at;
-        self.send_port_free.clone_from(&src.send_port_free);
-        self.recv_port_free.clone_from(&src.recv_port_free);
-    }
-
-    /// The shared scheduling core: account one message of `bytes` bytes
-    /// from `from` to `to`, requested at `now`, endpoint CPU costs scaled
-    /// by `factors`. Self-sends are local and deliver immediately.
-    ///
-    /// Calls must be made in non-decreasing `now` order for exact FCFS
-    /// semantics.
-    ///
-    /// # Panics
-    /// Panics if a node index is out of range or a factor is below 1.
-    pub fn schedule(
-        &mut self,
-        params: &NetworkParams,
-        from: usize,
-        to: usize,
-        bytes: usize,
-        now: f64,
-        factors: EndpointFactors,
-    ) -> Transmission {
-        assert!(
-            from < self.nodes() && to < self.nodes(),
-            "node index out of range"
-        );
-        assert!(
-            factors.send >= 1.0 && factors.recv >= 1.0,
-            "endpoint factors must be >= 1 (1 = unloaded)"
-        );
-        if from == to {
-            return Transmission {
-                start: now,
-                delivered: now,
-            };
-        }
-        step(
-            params,
-            &mut self.send_port_free[from],
-            &mut self.bus_free_at,
-            &mut self.recv_port_free[to],
-            now,
-            params.send_overhead * factors.send,
-            params.frame_time(bytes),
-            params.recv_overhead * factors.recv,
-        )
-    }
-
-    /// A one-sender fan-out: one message of `bytes` bytes from `from` to
-    /// each `(to, recv)` receiver in order — `recv` scales that
-    /// receiver's CPU cost, `send` the sender's — all requested at `now`.
-    /// `sink` sees each receiver's [`Transmission`] in order. Self-sends
-    /// are skipped: they touch no port and are not passed to `sink`.
-    ///
-    /// Bit for bit the same as one [`ContentionState::schedule`] per
-    /// receiver: the send cost and frame time are the same products,
-    /// hoisted out of the loop, and each message runs the same step.
-    ///
-    /// # Panics
-    /// Panics if a node index is out of range or a factor is below 1.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fanout(
-        &mut self,
-        params: &NetworkParams,
-        from: usize,
-        bytes: usize,
-        now: f64,
-        send: f64,
-        receivers: impl IntoIterator<Item = (usize, f64)>,
-        mut sink: impl FnMut(usize, Transmission),
-    ) {
-        let n = self.nodes();
-        assert!(from < n, "node index out of range");
-        assert!(send >= 1.0, "endpoint factors must be >= 1 (1 = unloaded)");
-        let send_cost = params.send_overhead * send;
-        let frame = params.frame_time(bytes);
-        // The sender's port and the wire are the loop's running state;
-        // only the receivers' ports vary.
-        let mut send_free = self.send_port_free[from];
-        let mut bus_free = self.bus_free_at;
-        for (to, recv) in receivers {
-            assert!(to < n, "node index out of range");
-            assert!(recv >= 1.0, "endpoint factors must be >= 1 (1 = unloaded)");
-            if to == from {
-                continue;
-            }
-            let tx = step(
-                params,
-                &mut send_free,
-                &mut bus_free,
-                &mut self.recv_port_free[to],
-                now,
-                send_cost,
-                frame,
-                params.recv_overhead * recv,
-            );
-            sink(to, tx);
-        }
-        self.send_port_free[from] = send_free;
-        self.bus_free_at = bus_free;
-    }
-}
-
-/// The per-message FCFS step, shared by [`ContentionState::schedule`] and
-/// [`ContentionState::fanout`]: the sender's CPU, then the wire (bus
+/// The per-message FCFS step, shared by [`MediumSim::send_with_factors`]
+/// and [`MediumSim::fanout`]: the sender's CPU, then the wire (bus
 /// media only), then the receiver's CPU, each taken first come, first
 /// served. `send_cost`, `frame` and `recv_cost` are the message's
 /// already-scaled overheads and frame time.
@@ -246,28 +96,45 @@ fn step(
 }
 
 /// Stateful FCFS medium arbiter for `n` nodes.
-#[derive(Debug, Clone)]
+///
+/// Its whole mutable state is when each sender CPU, the shared wire and
+/// each receiver CPU next come free. One private per-message FCFS step is
+/// the single implementation of the contention arithmetic:
+/// [`MediumSim::send_with_factors`] runs it for one message and
+/// [`MediumSim::fanout`] for each message of a one-sender broadcast. The
+/// simulator's episode fast-forward replays an episode on a copy of the
+/// live medium ([`MediumSim::copy_from`]) and adopts the copy only if the
+/// episode commits, so a replayed message schedule cannot drift from what
+/// the event loop would have computed — same type, same float ops, same
+/// order.
+#[derive(Debug, Clone, PartialEq)]
 pub struct MediumSim {
     params: NetworkParams,
-    state: ContentionState,
+    bus_free_at: f64,
+    send_port_free: Vec<f64>,
+    recv_port_free: Vec<f64>,
 }
 
 impl MediumSim {
-    /// Create a medium connecting `nodes` workstations.
+    /// Create a medium connecting `nodes` workstations, all ports and the
+    /// wire free at time 0.
     ///
     /// # Panics
     /// Panics if `nodes == 0` or the parameters are invalid.
     pub fn new(params: NetworkParams, nodes: usize) -> Self {
         params.validate();
+        assert!(nodes > 0, "a network needs at least one node");
         Self {
             params,
-            state: ContentionState::new(nodes),
+            bus_free_at: 0.0,
+            send_port_free: vec![0.0; nodes],
+            recv_port_free: vec![0.0; nodes],
         }
     }
 
     /// Number of nodes on this medium.
     pub fn nodes(&self) -> usize {
-        self.state.nodes()
+        self.send_port_free.len()
     }
 
     /// The configured parameters.
@@ -275,9 +142,14 @@ impl MediumSim {
         &self.params
     }
 
-    /// The current queueing state (for snapshots).
-    pub fn state(&self) -> &ContentionState {
-        &self.state
+    /// Make `self` a copy of `src`, reusing the existing allocations (the
+    /// episode fast-forward re-snapshots the live medium once per
+    /// episode).
+    pub fn copy_from(&mut self, src: &MediumSim) {
+        self.params = src.params;
+        self.bus_free_at = src.bus_free_at;
+        self.send_port_free.clone_from(&src.send_port_free);
+        self.recv_port_free.clone_from(&src.recv_port_free);
     }
 
     /// Schedule a message with unloaded endpoints.
@@ -302,95 +174,42 @@ impl MediumSim {
         now: f64,
         factors: EndpointFactors,
     ) -> Transmission {
-        self.state
-            .schedule(&self.params, from, to, bytes, now, factors)
-    }
-
-    /// Schedule a one-sender fan-out (see [`ContentionState::fanout`]).
-    ///
-    /// # Panics
-    /// Panics if a node index is out of range or a factor is below 1.
-    pub fn fanout(
-        &mut self,
-        from: usize,
-        bytes: usize,
-        now: f64,
-        send: f64,
-        receivers: impl IntoIterator<Item = (usize, f64)>,
-        sink: impl FnMut(usize, Transmission),
-    ) {
-        self.state
-            .fanout(&self.params, from, bytes, now, send, receivers, sink);
-    }
-
-    /// Forget all queueing state (ports and bus free immediately). Used
-    /// between independent pattern measurements.
-    pub fn reset(&mut self) {
-        self.state.reset();
-    }
-}
-
-/// Speculative replay of one synchronization episode's message schedule.
-///
-/// The episode fast-forward path of the simulator computes a whole
-/// episode's per-message arrival times *before* deciding whether the
-/// episode may be fast-forwarded at all. This type supports that
-/// two-phase shape: [`EpisodeSchedule::restart_from`] snapshots a
-/// [`MediumSim`]'s contention state (reusing this schedule's buffers),
-/// [`EpisodeSchedule::send`] and [`EpisodeSchedule::fanout`] replay
-/// messages through the **same** contention step the event loop uses, and
-/// [`EpisodeSchedule::commit_to`] adopts the advanced state back into the
-/// medium — or the schedule is simply dropped/reused, leaving the medium
-/// untouched (the fallback path then re-issues the messages through the
-/// event loop).
-#[derive(Debug, Clone)]
-pub struct EpisodeSchedule {
-    params: NetworkParams,
-    state: ContentionState,
-    messages: u64,
-}
-
-impl EpisodeSchedule {
-    /// A schedule with pre-sized buffers for `nodes` endpoints, not yet
-    /// anchored to any medium ([`EpisodeSchedule::restart_from`] anchors
-    /// it).
-    pub fn new(params: NetworkParams, nodes: usize) -> Self {
-        params.validate();
-        Self {
-            params,
-            state: ContentionState::new(nodes),
-            messages: 0,
+        assert!(
+            from < self.nodes() && to < self.nodes(),
+            "node index out of range"
+        );
+        assert!(
+            factors.send >= 1.0 && factors.recv >= 1.0,
+            "endpoint factors must be >= 1 (1 = unloaded)"
+        );
+        if from == to {
+            return Transmission {
+                start: now,
+                delivered: now,
+            };
         }
+        let params = &self.params;
+        step(
+            params,
+            &mut self.send_port_free[from],
+            &mut self.bus_free_at,
+            &mut self.recv_port_free[to],
+            now,
+            params.send_overhead * factors.send,
+            params.frame_time(bytes),
+            params.recv_overhead * factors.recv,
+        )
     }
 
-    /// Re-anchor to `medium`'s current queueing state, discarding any
-    /// previous replay. Allocation-free once the buffers exist.
-    pub fn restart_from(&mut self, medium: &MediumSim) {
-        self.params = medium.params;
-        self.state.copy_from(&medium.state);
-        self.messages = 0;
-    }
-
-    /// Replay one message: identical arithmetic, identical state update
-    /// as [`MediumSim::send_with_factors`], applied to the snapshot.
+    /// A one-sender fan-out: one message of `bytes` bytes from `from` to
+    /// each `(to, recv)` receiver in order — `recv` scales that
+    /// receiver's CPU cost, `send` the sender's — all requested at `now`.
+    /// `sink` sees each receiver's [`Transmission`] in order. Self-sends
+    /// are skipped: they touch no port and are not passed to `sink`.
     ///
-    /// # Panics
-    /// Panics if a node index is out of range or a factor is below 1.
-    pub fn send(
-        &mut self,
-        from: usize,
-        to: usize,
-        bytes: usize,
-        now: f64,
-        factors: EndpointFactors,
-    ) -> Transmission {
-        self.messages += 1;
-        self.state
-            .schedule(&self.params, from, to, bytes, now, factors)
-    }
-
-    /// Replay a one-sender fan-out: identical arithmetic, identical state
-    /// update as [`MediumSim::fanout`], applied to the snapshot.
+    /// Bit for bit the same as one [`MediumSim::send_with_factors`] per
+    /// receiver: the send cost and frame time are the same products,
+    /// hoisted out of the loop, and each message runs the same step.
     ///
     /// # Panics
     /// Panics if a node index is out of range or a factor is below 1.
@@ -403,24 +222,44 @@ impl EpisodeSchedule {
         receivers: impl IntoIterator<Item = (usize, f64)>,
         mut sink: impl FnMut(usize, Transmission),
     ) {
-        let messages = &mut self.messages;
-        self.state
-            .fanout(&self.params, from, bytes, now, send, receivers, |to, tx| {
-                *messages += 1;
-                sink(to, tx);
-            });
+        let n = self.nodes();
+        assert!(from < n, "node index out of range");
+        assert!(send >= 1.0, "endpoint factors must be >= 1 (1 = unloaded)");
+        let params = &self.params;
+        let send_cost = params.send_overhead * send;
+        let frame = params.frame_time(bytes);
+        // The sender's port and the wire are the loop's running state;
+        // only the receivers' ports vary.
+        let mut send_free = self.send_port_free[from];
+        let mut bus_free = self.bus_free_at;
+        for (to, recv) in receivers {
+            assert!(to < n, "node index out of range");
+            assert!(recv >= 1.0, "endpoint factors must be >= 1 (1 = unloaded)");
+            if to == from {
+                continue;
+            }
+            let tx = step(
+                params,
+                &mut send_free,
+                &mut bus_free,
+                &mut self.recv_port_free[to],
+                now,
+                send_cost,
+                frame,
+                params.recv_overhead * recv,
+            );
+            sink(to, tx);
+        }
+        self.send_port_free[from] = send_free;
+        self.bus_free_at = bus_free;
     }
 
-    /// Messages replayed since the last [`EpisodeSchedule::restart_from`].
-    pub fn messages(&self) -> u64 {
-        self.messages
-    }
-
-    /// Adopt the replayed contention state into `medium`: afterwards the
-    /// medium is in exactly the state it would hold had the event loop
-    /// issued every replayed message itself.
-    pub fn commit_to(&self, medium: &mut MediumSim) {
-        medium.state.copy_from(&self.state);
+    /// Forget all queueing state (ports and bus free immediately). Used
+    /// between independent pattern measurements.
+    pub fn reset(&mut self) {
+        self.bus_free_at = 0.0;
+        self.send_port_free.fill(0.0);
+        self.recv_port_free.fill(0.0);
     }
 }
 
@@ -605,11 +444,11 @@ mod tests {
             .collect()
     }
 
-    /// The episode replay must produce bit-identical transmissions and
-    /// leave the medium (after commit) in a bit-identical state to the
-    /// event-loop path, on both medium kinds.
+    /// A replay on a copy of the medium must produce bit-identical
+    /// transmissions and leave the medium (after commit) in a
+    /// bit-identical state to the event-loop path, on both medium kinds.
     #[test]
-    fn episode_schedule_replay_cannot_drift() {
+    fn replay_on_a_copy_cannot_drift() {
         for mk in [bus(5), switched(5)] {
             let mut live = mk.clone();
             let mut ff_base = mk.clone();
@@ -621,22 +460,21 @@ mod tests {
                 let b2 = ff_base.send_with_factors(f, t, b, now, fac);
                 assert_eq!(a, b2);
             }
-            let mut ep = EpisodeSchedule::new(*ff_base.params(), ff_base.nodes());
-            ep.restart_from(&ff_base);
+            let mut ep = MediumSim::new(*ff_base.params(), ff_base.nodes());
+            ep.copy_from(&ff_base);
             for &(f, t, b, now, fac) in &msgs[50..] {
                 let a = live.send_with_factors(f, t, b, now, fac);
-                let r = ep.send(f, t, b, now, fac);
+                let r = ep.send_with_factors(f, t, b, now, fac);
                 assert_eq!(a.start.to_bits(), r.start.to_bits());
                 assert_eq!(a.delivered.to_bits(), r.delivered.to_bits());
             }
-            assert_eq!(ep.messages(), (msgs.len() - 50) as u64);
-            ep.commit_to(&mut ff_base);
-            assert_eq!(live.state(), ff_base.state());
+            ff_base.copy_from(&ep);
+            assert_eq!(live, ff_base);
         }
     }
 
-    /// A fan-out's messages sent one [`ContentionState::schedule`] at a
-    /// time, as `(receiver, start bits, delivered bits)`.
+    /// A fan-out's messages sent one [`MediumSim::send_with_factors`] at
+    /// a time, as `(receiver, start bits, delivered bits)`.
     fn one_at_a_time(
         m: &mut MediumSim,
         from: usize,
@@ -681,7 +519,7 @@ mod tests {
     /// A fan-out is bit for bit the same messages scheduled one at a
     /// time, on both media, from a mid-stream state, with the sender in
     /// its own receiver list and loaded endpoints — and so is its replay
-    /// through an [`EpisodeSchedule`], committed back to the medium.
+    /// on a copy of the medium, committed back to the medium.
     #[test]
     fn fanout_equals_one_schedule_per_receiver() {
         let receivers = [(0, 1.0), (2, 3.0), (5, 2.5), (1, 1.0), (3, 1.7), (4, 1.0)];
@@ -697,19 +535,14 @@ mod tests {
             let expected = one_at_a_time(&mut live, 2, 64, now, 2.0, &receivers);
             assert_eq!(expected.len(), 5, "the self-send is skipped");
             assert_eq!(fanned(&mut fan, 2, 64, now, 2.0, &receivers), expected);
-            assert_eq!(live.state(), fan.state());
+            assert_eq!(live, fan);
 
-            let mut ep = EpisodeSchedule::new(*snapshot.params(), snapshot.nodes());
-            ep.restart_from(&snapshot);
-            let mut replayed = Vec::new();
-            ep.fanout(2, 64, now, 2.0, receivers.iter().copied(), |to, t| {
-                replayed.push((to, t.start.to_bits(), t.delivered.to_bits()));
-            });
-            assert_eq!(replayed, expected);
-            assert_eq!(ep.messages(), 5);
+            let mut ep = MediumSim::new(*snapshot.params(), snapshot.nodes());
+            ep.copy_from(&snapshot);
+            assert_eq!(fanned(&mut ep, 2, 64, now, 2.0, &receivers), expected);
             let mut committed = snapshot;
-            ep.commit_to(&mut committed);
-            assert_eq!(committed.state(), live.state());
+            committed.copy_from(&ep);
+            assert_eq!(committed, live);
         }
     }
 
@@ -740,40 +573,35 @@ mod tests {
             let snapshot = fan.clone();
             let expected = one_at_a_time(&mut live, from, bytes, now, send, &receivers);
             prop_assert_eq!(fanned(&mut fan, from, bytes, now, send, &receivers), expected.clone());
-            prop_assert_eq!(live.state(), fan.state());
+            prop_assert_eq!(&live, &fan);
 
-            let mut ep = EpisodeSchedule::new(*snapshot.params(), snapshot.nodes());
-            ep.restart_from(&snapshot);
-            let mut replayed = Vec::new();
-            ep.fanout(from, bytes, now, send, receivers.iter().copied(), |to, t| {
-                replayed.push((to, t.start.to_bits(), t.delivered.to_bits()));
-            });
-            prop_assert_eq!(replayed, expected.clone());
-            prop_assert_eq!(ep.messages(), expected.len() as u64);
+            let mut ep = MediumSim::new(*snapshot.params(), snapshot.nodes());
+            ep.copy_from(&snapshot);
+            prop_assert_eq!(fanned(&mut ep, from, bytes, now, send, &receivers), expected);
             let mut committed = snapshot;
-            ep.commit_to(&mut committed);
-            prop_assert_eq!(committed.state(), live.state());
+            committed.copy_from(&ep);
+            prop_assert_eq!(committed, live);
         }
     }
 
-    /// Dropping a schedule (fallback path) leaves the medium untouched,
-    /// and the same schedule value can be re-anchored and reused.
+    /// Dropping a replay copy (fallback path) leaves the medium
+    /// untouched, and the same copy can be re-anchored and reused.
     #[test]
-    fn episode_schedule_abort_leaves_medium_untouched() {
+    fn replay_abort_leaves_medium_untouched() {
         let mut m = bus(3);
         m.send(0, 1, 500, 0.0);
-        let before = m.state().clone();
-        let mut ep = EpisodeSchedule::new(*m.params(), m.nodes());
-        ep.restart_from(&m);
-        ep.send(1, 2, 800, 1.0, EndpointFactors::default());
-        ep.send(2, 0, 800, 2.0, EndpointFactors::default());
+        let before = m.clone();
+        let mut ep = MediumSim::new(*m.params(), m.nodes());
+        ep.copy_from(&m);
+        ep.send(1, 2, 800, 1.0);
+        ep.send(2, 0, 800, 2.0);
         // No commit: the medium must be unchanged.
-        assert_eq!(*m.state(), before);
-        // Reuse after abort: counters and state re-anchor cleanly.
-        ep.restart_from(&m);
-        assert_eq!(ep.messages(), 0);
+        assert_eq!(m, before);
+        // Reuse after abort: the copy re-anchors cleanly.
+        ep.copy_from(&m);
+        assert_eq!(ep, m);
         let live = m.send(1, 2, 64, 3.0);
-        let rep = ep.send(1, 2, 64, 3.0, EndpointFactors::default());
+        let rep = ep.send(1, 2, 64, 3.0);
         assert_eq!(live, rep);
     }
 }

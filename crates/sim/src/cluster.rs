@@ -1,9 +1,8 @@
 //! Cluster description: the "network of workstations" under test.
 
-use now_load::{LoadFunction, LoadSpec, WorkClock};
+use now_load::{LoadSpec, WorkClock};
 use now_net::NetworkParams;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// A NOW: processor speeds, per-processor external load, and the
 /// interconnect.
@@ -71,20 +70,16 @@ impl ClusterSpec {
         self.speeds
             .iter()
             .zip(&self.loads)
-            .map(|(&s, l)| WorkClock::new(l.build(), s))
+            .map(|(&s, l)| WorkClock::new(l.clone(), s))
             .collect()
-    }
-
-    /// Build the per-processor load functions.
-    pub fn load_functions(&self) -> Vec<Arc<dyn LoadFunction>> {
-        self.loads.iter().map(LoadSpec::build).collect()
     }
 
     /// Check internal consistency.
     ///
     /// # Panics
     /// Panics if speeds/loads disagree in length, any speed is
-    /// non-positive, or the master is out of range.
+    /// non-positive, any load's persistence is not positive and finite,
+    /// or the master is out of range.
     pub fn validate(&self) {
         assert_eq!(
             self.speeds.len(),
@@ -96,6 +91,7 @@ impl ClusterSpec {
             self.speeds.iter().all(|&s| s > 0.0 && s.is_finite()),
             "speeds must be positive"
         );
+        self.loads.iter().for_each(LoadSpec::validate);
         assert!(self.master < self.speeds.len(), "master out of range");
         self.net.validate();
     }
@@ -117,15 +113,14 @@ mod tests {
     #[test]
     fn per_processor_loads_differ() {
         let c = ClusterSpec::paper_homogeneous(4, 42, 1.0);
-        let fs = c.load_functions();
-        let differs = (0..50).any(|k| fs[0].level(k) != fs[1].level(k));
+        let differs = (0..50).any(|k| c.loads[0].level(k) != c.loads[1].level(k));
         assert!(differs);
     }
 
     #[test]
     fn dedicated_cluster_is_unloaded() {
         let c = ClusterSpec::dedicated(4);
-        for f in c.load_functions() {
+        for f in &c.loads {
             assert_eq!(f.max_level(), 0);
         }
     }
@@ -136,6 +131,39 @@ mod tests {
         let clocks = c.clocks();
         assert!((clocks[1].speed() - 2.0).abs() < 1e-12);
         assert!((clocks[2].speed() - 0.5).abs() < 1e-12);
+    }
+
+    /// Every bad persistence, on both load variants that carry one, is
+    /// rejected with a message naming persistence, both where a cluster
+    /// is checked and where the model is built from its specs.
+    #[test]
+    fn zero_persistence_rejected() {
+        fn rejection<R>(f: impl FnOnce() -> R + std::panic::UnwindSafe) -> String {
+            let err = std::panic::catch_unwind(f).err().expect("accepted");
+            err.downcast_ref::<String>().expect("formatted").clone()
+        }
+        for tl in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for bad in [
+                LoadSpec::DiscreteRandom {
+                    seed: 1,
+                    max_load: 5,
+                    persistence: tl,
+                },
+                LoadSpec::Trace {
+                    levels: vec![2, 0],
+                    persistence: tl,
+                },
+            ] {
+                let mut c = ClusterSpec::paper_homogeneous(3, 7, 0.5);
+                c.loads[1] = bad.clone();
+                let msg = rejection(|| c.validate());
+                assert!(msg.contains("persistence"), "{bad:?}: {msg}");
+                let msg = rejection(|| {
+                    dlb_model::SystemModel::from_specs(c.speeds.clone(), &c.loads, c.net)
+                });
+                assert!(msg.contains("persistence"), "{bad:?}: {msg}");
+            }
+        }
     }
 
     #[test]

@@ -233,9 +233,10 @@ pub enum EngineMode {
     /// Block stepping **plus** episode fast-forward: a sync episode whose
     /// window contains no fault, no foreign event, and no work arrival
     /// runs through the protocol handlers in a private replay — every
-    /// message through the exact [`now_net::EpisodeSchedule`] arithmetic,
-    /// in event order — and is settled in one step, emitting a single
-    /// `EpisodeDone` event instead of O(P)..O(P²) per-message events.
+    /// message through the exact [`MediumSim`] arithmetic on a copy of
+    /// the medium, in event order — and is settled in one step, emitting
+    /// a single `EpisodeDone` event instead of O(P)..O(P²) per-message
+    /// events.
     /// Anything interfering aborts the replay and that one episode runs
     /// per-message on the global heap, so reports stay byte-identical to
     /// [`EngineMode::PerIter`]. Heartbeat sweeps are coalesced to
@@ -372,10 +373,7 @@ enum EvKind {
     /// Deliberately a no-op — the episode's effects were committed when it
     /// was pushed — but it keeps the settled window visible on the heap
     /// (one event per episode instead of O(P²)).
-    EpisodeDone {
-        #[allow(dead_code)]
-        group: usize,
-    },
+    EpisodeDone,
 }
 
 #[derive(Debug)]
@@ -477,9 +475,9 @@ enum Fate {
 ///
 /// * [`Live`] — the global event heap, the shared [`MediumSim`], and the
 ///   open [`Episode`]'s per-balancer profile maps;
-/// * `ff::Replay` — the fast-forward's private heap, an
-///   [`now_net::EpisodeSchedule`] snapshot of the medium, and analytic
-///   profile accounting (the k-th arrival is the latest delivery time).
+/// * `ff::Replay` — the fast-forward's private heap, a copy of the live
+///   [`MediumSim`], and analytic profile accounting (the k-th arrival is
+///   the latest delivery time).
 ///
 /// Dispatch is static: the type parameter picks the implementation at
 /// compile time, so the live event loop pays nothing for the seam.
@@ -1246,7 +1244,7 @@ impl<'w> Engine<'w> {
                 }
             }
             EvKind::Watchdog { group, id } => self.on_watchdog(group, id, now),
-            EvKind::EpisodeDone { .. } => {}
+            EvKind::EpisodeDone => {}
         }
     }
 

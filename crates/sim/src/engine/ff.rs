@@ -8,8 +8,8 @@
 //! exploits that: instead of pushing every message through the global
 //! event heap, it runs the whole episode through the engine's own
 //! handlers — [`Engine::dispatch`] over the [`Replay`] side of the
-//! [`Seam`] — against a private heap and an [`EpisodeSchedule`] snapshot
-//! of the medium, then commits the result in one step, emitting a single
+//! [`Seam`] — against a private heap and a [`MediumSim`] copy of the
+//! medium, then commits the result in one step, emitting a single
 //! `EpisodeDone` marker.
 //!
 //! # Identity argument
@@ -20,9 +20,9 @@
 //! * **Same handlers, same state.** The replay mutates the engine's real
 //!   per-processor state through the real handlers; only event
 //!   scheduling, the medium, and profile delivery go through the seam.
-//!   Message times come from [`EpisodeSchedule::send`] and
-//!   [`EpisodeSchedule::fanout`], which run the identical contention step
-//!   on a snapshot of the medium.
+//!   Message times come from [`MediumSim::send_with_factors`] and
+//!   [`MediumSim::fanout`] on a copy of the live medium: the same type,
+//!   so the identical contention step.
 //! * **Analytic profile delivery.** A profile arrival only stores the
 //!   profile and counts it, so the instant the k-th one lands — when the
 //!   live loop schedules the calculation — is the latest delivery time.
@@ -69,11 +69,9 @@
 //! events, so "no work arrival inside the window" is implied by the scan.
 
 use super::*;
-use now_net::EpisodeSchedule;
 
 /// The fast-forward's side of the [`Seam`]: the private heap, the
-/// [`EpisodeSchedule`], and analytic profile accounting in
-/// [`FfScratch`].
+/// medium copy, and analytic profile accounting in [`FfScratch`].
 pub(super) struct Replay;
 
 impl Seam for Replay {
@@ -98,8 +96,9 @@ impl Seam for Replay {
         now: f64,
         factors: EndpointFactors,
     ) -> f64 {
-        let net = e.ff.net.as_mut().expect("schedule anchored at snapshot");
-        net.send(from, to, bytes, now, factors).delivered
+        let net = e.ff.net.as_mut().expect("medium copied at snapshot");
+        net.send_with_factors(from, to, bytes, now, factors)
+            .delivered
     }
 
     fn transmit_fanout(
@@ -111,7 +110,7 @@ impl Seam for Replay {
         hops: &[(usize, f64)],
         out: &mut Vec<(usize, f64)>,
     ) {
-        let net = e.ff.net.as_mut().expect("schedule anchored at snapshot");
+        let net = e.ff.net.as_mut().expect("medium copied at snapshot");
         net.fanout(from, bytes, now, send, hops.iter().copied(), |to, tx| {
             out.push((to, tx.delivered));
         });
@@ -267,7 +266,9 @@ struct SavedGlobals {
 #[derive(Debug, Default)]
 pub(super) struct FfScratch {
     heap: BinaryHeap<Reverse<Ev>>,
-    net: Option<EpisodeSchedule>,
+    /// The replay's copy of the live medium, re-copied at every
+    /// snapshot and swapped in on commit.
+    net: Option<MediumSim>,
     /// Sequence counter of the private heap.
     seq: u64,
     /// Participant list, sorted ascending (the episode's order).
@@ -501,9 +502,10 @@ impl<'w> Engine<'w> {
             }
         }
 
-        s.net
-            .get_or_insert_with(|| EpisodeSchedule::new(*self.medium.params(), self.medium.nodes()))
-            .restart_from(&self.medium);
+        match &mut s.net {
+            Some(net) => net.copy_from(&self.medium),
+            None => s.net = Some(self.medium.clone()),
+        }
         true
     }
 
@@ -563,7 +565,7 @@ impl<'w> Engine<'w> {
                     .get(group)
                     .and_then(|gc| gc.episode.as_ref())
                     .is_none_or(|e| e.id != id),
-                EvKind::EpisodeDone { .. } => true,
+                EvKind::EpisodeDone => true,
                 _ => false,
             };
             if !benign {
@@ -587,11 +589,10 @@ impl<'w> Engine<'w> {
     fn ff_commit(&mut self, g: usize, t_close: f64) {
         self.counters.episodes_fast_forwarded += 1;
         self.groups[g].episode = None;
-        self.ff
-            .net
-            .as_ref()
-            .expect("schedule anchored")
-            .commit_to(&mut self.medium);
+        // The copy holds the medium's state after every replayed message;
+        // the next snapshot overwrites whatever is swapped out.
+        let net = self.ff.net.as_mut().expect("medium copied at snapshot");
+        std::mem::swap(&mut self.medium, net);
         // Bumping every participant's epoch stamps all its pre-episode
         // heap events stale. Leftover replay events — live blocks running
         // past the close, un-served settle boundaries, and undelivered
@@ -639,7 +640,7 @@ impl<'w> Engine<'w> {
             }
         }
         // The one event the episode leaves behind.
-        self.push_event(t_close, EvKind::EpisodeDone { group: g });
+        self.push_event(t_close, EvKind::EpisodeDone);
         // The close is an episode boundary — rejoin admissions, the next
         // initiator, and (§S17) a possible adaptive re-decision all hang
         // off it.

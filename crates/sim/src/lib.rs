@@ -40,8 +40,7 @@ pub use cluster::ClusterSpec;
 pub use engine::{Engine, EngineCounters, EngineMode};
 pub use report::{rank_strategies, AdaptiveReport, ProcSummary, RunReport, SwitchRecord};
 pub use runner::{
-    run_all_strategies, run_all_strategies_arc, run_dlb, run_dlb_adaptive, run_dlb_adaptive_arc,
-    run_dlb_adaptive_faulty, run_dlb_arc, run_dlb_faulty, run_dlb_periodic, run_no_dlb,
-    run_no_dlb_arc, StrategySweep,
+    run_all_strategies, run_dlb, run_dlb_adaptive, run_dlb_faulty, run_dlb_periodic, run_no_dlb,
+    StrategySweep,
 };
 pub use taskqueue::run_task_queue;

@@ -10,36 +10,18 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Run one workload under a DLB strategy.
-///
-/// Convenience wrapper that clones `cluster` once; callers holding an
-/// `Arc` (sweeps, parallel executors) should use [`run_dlb_arc`].
 pub fn run_dlb(
     cluster: &ClusterSpec,
     workload: &dyn LoopWorkload,
     cfg: StrategyConfig,
 ) -> RunReport {
-    run_dlb_arc(&Arc::new(cluster.clone()), workload, cfg)
-}
-
-/// [`run_dlb`] without any cluster deep-clone: the engine shares the
-/// caller's allocation.
-pub fn run_dlb_arc(
-    cluster: &Arc<ClusterSpec>,
-    workload: &dyn LoopWorkload,
-    cfg: StrategyConfig,
-) -> RunReport {
-    Engine::new(Arc::clone(cluster), workload, Some(cfg)).run()
+    Engine::new(cluster.clone(), workload, Some(cfg)).run()
 }
 
 /// Run the no-DLB baseline: static equal blocks, run to completion under
 /// the external load.
 pub fn run_no_dlb(cluster: &ClusterSpec, workload: &dyn LoopWorkload) -> RunReport {
-    run_no_dlb_arc(&Arc::new(cluster.clone()), workload)
-}
-
-/// [`run_no_dlb`] without any cluster deep-clone.
-pub fn run_no_dlb_arc(cluster: &Arc<ClusterSpec>, workload: &dyn LoopWorkload) -> RunReport {
-    Engine::new(Arc::clone(cluster), workload, None).run()
+    Engine::new(cluster.clone(), workload, None).run()
 }
 
 /// Run one workload under a DLB strategy with fault injection: the
@@ -72,32 +54,7 @@ pub fn run_dlb_adaptive(
     workload: &dyn LoopWorkload,
     acfg: dlb_core::AdaptiveConfig,
 ) -> RunReport {
-    run_dlb_adaptive_arc(&Arc::new(cluster.clone()), workload, acfg)
-}
-
-/// [`run_dlb_adaptive`] without any cluster deep-clone.
-pub fn run_dlb_adaptive_arc(
-    cluster: &Arc<ClusterSpec>,
-    workload: &dyn LoopWorkload,
-    acfg: dlb_core::AdaptiveConfig,
-) -> RunReport {
-    Engine::new(Arc::clone(cluster), workload, Some(acfg.initial))
-        .with_adaptive(acfg)
-        .run()
-}
-
-/// [`run_dlb_adaptive`] with fault injection: the adaptive re-decision
-/// loop folds the live fault picture (dead count, partition state, rejoin
-/// churn) into every re-decision.
-pub fn run_dlb_adaptive_faulty(
-    cluster: &ClusterSpec,
-    workload: &dyn LoopWorkload,
-    acfg: dlb_core::AdaptiveConfig,
-    plan: FaultPlan,
-    policy: FailurePolicy,
-) -> RunReport {
     Engine::new(cluster.clone(), workload, Some(acfg.initial))
-        .with_faults(plan, policy)
         .with_adaptive(acfg)
         .run()
 }
@@ -153,27 +110,19 @@ impl StrategySweep {
 /// Run noDLB + all four strategies on the same cluster and workload, with
 /// `group_size` for the local schemes.
 ///
-/// Clones the cluster **once** for all five runs (the engines share the
-/// allocation via `Arc`); callers already holding an `Arc` should use
-/// [`run_all_strategies_arc`] and pay no clone at all.
+/// Clones the cluster **once** for all five runs: the engines share the
+/// allocation via `Arc`.
 pub fn run_all_strategies(
     cluster: &ClusterSpec,
     workload: &dyn LoopWorkload,
     group_size: usize,
 ) -> StrategySweep {
-    run_all_strategies_arc(&Arc::new(cluster.clone()), workload, group_size)
-}
-
-/// [`run_all_strategies`] over a shared cluster allocation.
-pub fn run_all_strategies_arc(
-    cluster: &Arc<ClusterSpec>,
-    workload: &dyn LoopWorkload,
-    group_size: usize,
-) -> StrategySweep {
-    let no_dlb = run_no_dlb_arc(cluster, workload);
+    let cluster = Arc::new(cluster.clone());
+    let run = |cfg| Engine::new(Arc::clone(&cluster), workload, cfg).run();
+    let no_dlb = run(None);
     let strategies = Strategy::ALL
         .iter()
-        .map(|&s| run_dlb_arc(cluster, workload, StrategyConfig::paper(s, group_size)))
+        .map(|&s| run(Some(StrategyConfig::paper(s, group_size))))
         .collect();
     StrategySweep { no_dlb, strategies }
 }

@@ -60,12 +60,11 @@ pub mod prelude {
     };
     pub use dlb_model::{choose_strategy, predict, predict_all, SystemModel};
     pub use now_fault::{FailurePolicy, FaultPlan};
-    pub use now_load::{DiscreteRandomLoad, LoadFunction, LoadSpec};
+    pub use now_load::LoadSpec;
     pub use now_net::NetworkParams;
     pub use now_serve::{MemoConfig, RunKind, RunServer, RunSpec, ServeConfig, WorkloadSpec};
     pub use now_sim::{
-        run_all_strategies, run_all_strategies_arc, run_dlb, run_dlb_adaptive,
-        run_dlb_adaptive_arc, run_dlb_adaptive_faulty, run_dlb_arc, run_dlb_faulty,
-        run_dlb_periodic, run_no_dlb, run_no_dlb_arc, ClusterSpec, RunReport,
+        run_all_strategies, run_dlb, run_dlb_adaptive, run_dlb_faulty, run_dlb_periodic,
+        run_no_dlb, ClusterSpec, RunReport,
     };
 }

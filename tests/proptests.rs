@@ -4,13 +4,9 @@ use customized_dlb::core::balance::{balance_group, BalanceVerdict};
 use customized_dlb::core::profile::PerfProfile;
 use customized_dlb::core::workqueue::{ranges_len, WorkQueue};
 use customized_dlb::core::{plan_transfers, Distribution, Strategy, StrategyConfig};
-use customized_dlb::load::{
-    effective_load_exact, effective_load_paper, DiscreteRandomLoad, LoadFunction, TraceLoad,
-    WorkClock,
-};
+use customized_dlb::load::{effective_load_exact, effective_load_paper, LoadSpec, WorkClock};
 use customized_dlb::net::{measure_pattern, polyfit, NetworkParams, Pattern, Poly};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 proptest! {
     // ---------------- Distribution ----------------
@@ -145,7 +141,7 @@ proptest! {
         seed in any::<u64>(),
         t1 in 0.1f64..50.0,
     ) {
-        let f = DiscreteRandomLoad::new(seed, 5, 0.7);
+        let f = LoadSpec::DiscreteRandom { seed, max_load: 5, persistence: 0.7 };
         for lam in [
             effective_load_paper(&f, 0.0, t1),
             effective_load_exact(&f, 0.0, t1),
@@ -163,7 +159,7 @@ proptest! {
         speed in 0.1f64..8.0,
     ) {
         let clock = WorkClock::new(
-            Arc::new(DiscreteRandomLoad::new(seed, 5, 0.31)),
+            LoadSpec::DiscreteRandom { seed, max_load: 5, persistence: 0.31 },
             speed,
         );
         let end = clock.finish_time(start, work);
@@ -175,7 +171,7 @@ proptest! {
     #[test]
     fn trace_load_levels_bounded(levels in prop::collection::vec(0u32..9, 1..40)) {
         let max = *levels.iter().max().unwrap();
-        let f = TraceLoad::new(levels, 0.5);
+        let f = LoadSpec::Trace { levels, persistence: 0.5 };
         prop_assert_eq!(f.max_level(), max);
         for k in 0..100 {
             prop_assert!(f.level(k) <= max);
