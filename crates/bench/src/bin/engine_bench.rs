@@ -20,7 +20,9 @@
 //!
 //! The CI cells (`--quick`, `--quick --procs 256` and `--quick --procs
 //! 1024`) gate every counter of every run kind exactly against the
-//! `PINS` table below: one event more or less fails the run. A change
+//! `PINS` table below: one event more or less fails the run. The last
+//! pinned value is the FNV-1a of the episode report's JSON, so the
+//! P=1024 cell, which skips the reference, still pins report bytes. A change
 //! that moves a count re-pins the table in its own diff. Other cells print their counts ungated; the
 //! full P=16 cell is pinned by the now-sim test
 //! `fast_forward_engagement_is_pinned_on_the_full_cell`. Wall time is
@@ -42,14 +44,14 @@ use dlb_bench::{
     check_pins, counter_rows, format_table, paper_group_size, persistence_for, Align, LOAD_SEED,
 };
 use dlb_core::strategy::{Strategy, StrategyConfig};
-use now_serve::{RunKind, RunSpec, WorkloadSpec};
+use now_serve::{fnv1a64, RunKind, RunSpec, WorkloadSpec};
 use now_sim::{ClusterSpec, EngineCounters, EngineMode};
 use serde::Serialize;
 use std::time::Instant;
 
 /// The counters of one run kind, in pin order: the reference's heap
 /// events, then the episode engine's [`EngineCounters`].
-const COUNTERS: [&str; 11] = [
+const COUNTERS: [&str; 12] = [
     "events_per_iter",
     "events",
     "compute_events",
@@ -61,30 +63,31 @@ const COUNTERS: [&str; 11] = [
     "ff_fallback_fault",
     "ff_fallback_delay",
     "ff_fallback_switch",
+    "report_fnv",
 ];
 
 /// One cell's pinned counts: a run kind and its `COUNTERS` values.
-type KindPins = &'static [(&'static str, [u64; 11])];
+type KindPins = &'static [(&'static str, [u64; 12])];
 
 /// Exact counts per cell and run kind.
 #[rustfmt::skip]
 const PINS: &[(&str, KindPins)] = &[
     ("quick paper P=4", &[
-        ("noDLB", [100, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0]),
-        ("GCDLB", [149, 25, 21, 4, 0, 4, 0, 0, 0, 0, 0]),
-        ("GDDLB", [177, 23, 19, 4, 0, 4, 0, 0, 0, 0, 0]),
-        ("LCDLB", [129, 26, 12, 14, 0, 3, 2, 2, 0, 0, 0]),
-        ("LDDLB", [129, 22, 12, 10, 0, 4, 1, 1, 0, 0, 0]),
+        ("noDLB", [100, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0xedbbd01dca946d69]),
+        ("GCDLB", [149, 25, 21, 4, 0, 4, 0, 0, 0, 0, 0, 0x3af24ddb4e681d5f]),
+        ("GDDLB", [177, 23, 19, 4, 0, 4, 0, 0, 0, 0, 0, 0x61b7458f5e89a825]),
+        ("LCDLB", [129, 26, 12, 14, 0, 3, 2, 2, 0, 0, 0, 0x84e1e0145fd07089]),
+        ("LDDLB", [129, 22, 12, 10, 0, 4, 1, 1, 0, 0, 0, 0x23c572a8de2026f3]),
     ]),
     ("quick scaling P=256", &[
-        ("noDLB", [6400, 256, 256, 0, 0, 0, 0, 0, 0, 0, 0]),
-        ("GDDLB", [169047, 350, 346, 4, 0, 4, 0, 0, 0, 0, 0]),
-        ("LCDLB", [8310, 2867, 968, 1899, 0, 2, 74, 74, 0, 0, 0]),
+        ("noDLB", [6400, 256, 256, 0, 0, 0, 0, 0, 0, 0, 0, 0x90967468625b3864]),
+        ("GDDLB", [169047, 350, 346, 4, 0, 4, 0, 0, 0, 0, 0, 0x561f06f0a608e260]),
+        ("LCDLB", [8310, 2867, 968, 1899, 0, 2, 74, 74, 0, 0, 0, 0x71ee0b1021b6e0e7]),
     ]),
     ("quick scaling P=1024", &[
-        ("noDLB", [0, 1024, 1024, 0, 0, 0, 0, 0, 0, 0, 0]),
-        ("GDDLB", [0, 1077, 1074, 3, 0, 3, 0, 0, 0, 0, 0]),
-        ("LCDLB", [0, 9283, 3048, 6235, 0, 2, 233, 233, 0, 0, 0]),
+        ("noDLB", [0, 1024, 1024, 0, 0, 0, 0, 0, 0, 0, 0, 0x561427b34359846f]),
+        ("GDDLB", [0, 1077, 1074, 3, 0, 3, 0, 0, 0, 0, 0, 0xe629e266cb3e44d6]),
+        ("LCDLB", [0, 9283, 3048, 6235, 0, 2, 233, 233, 0, 0, 0, 0xb3283504528607ec]),
     ]),
 ];
 
@@ -111,6 +114,8 @@ struct RunBench {
     ff_fallback_fault: u64,
     ff_fallback_delay: u64,
     ff_fallback_switch: u64,
+    /// FNV-1a of the episode report's JSON.
+    report_fnv: u64,
     /// Both modes' reports serialize to exactly the same bytes (`false`
     /// when the reference was skipped, at P ≥ 1024).
     identical: bool,
@@ -118,7 +123,7 @@ struct RunBench {
 
 impl RunBench {
     /// This run's counts in `COUNTERS` order.
-    fn counts(&self) -> [u64; 11] {
+    fn counts(&self) -> [u64; 12] {
         [
             self.events_per_iter,
             self.events_episode,
@@ -131,6 +136,7 @@ impl RunBench {
             self.ff_fallback_fault,
             self.ff_fallback_delay,
             self.ff_fallback_switch,
+            self.report_fnv,
         ]
     }
 }
@@ -148,7 +154,7 @@ struct EngineBench {
 }
 
 /// `(kind.counter, value)` rows of every run kind, for [`check_pins`].
-fn rows<'a>(kinds: impl IntoIterator<Item = (&'a str, [u64; 11])>) -> Vec<(String, u64)> {
+fn rows<'a>(kinds: impl IntoIterator<Item = (&'a str, [u64; 12])>) -> Vec<(String, u64)> {
     kinds
         .into_iter()
         .flat_map(|(kind, counts)| counter_rows(&format!("{kind}."), &COUNTERS, &counts))
@@ -255,13 +261,13 @@ fn main() {
             .clone()
             .with_mode(EngineMode::Episode)
             .execute_counted();
+        let epi_json = serde_json::to_string(&epi_report).expect("serialize report");
         // Reference skipped at P ≥ 1024: its column reads 0 and no
         // byte-identity check runs.
         let ref_counters = if run_reference {
             let (ref_report, ref_counters) = spec.with_mode(EngineMode::PerIter).execute_counted();
             assert!(
-                serde_json::to_string(&ref_report).expect("serialize report")
-                    == serde_json::to_string(&epi_report).expect("serialize report"),
+                serde_json::to_string(&ref_report).expect("serialize report") == epi_json,
                 "{name}: episode report diverged from the per-iteration reference"
             );
             ref_counters
@@ -302,6 +308,7 @@ fn main() {
             ff_fallback_fault: epi.ff_fallback_fault,
             ff_fallback_delay: epi.ff_fallback_delay,
             ff_fallback_switch: epi.ff_fallback_switch,
+            report_fnv: fnv1a64(epi_json.as_bytes()),
             identical: run_reference,
         });
     }
