@@ -8,6 +8,7 @@ use dlb_core::work::LoopWorkload;
 use now_load::WorkClock;
 use now_net::Pattern;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Safety cap on modeled synchronizations per group; the recurrences
 /// provably terminate (each round retires the first finisher's whole
@@ -173,6 +174,9 @@ fn predict_group(
     extra_delay: f64,
 ) -> GroupPrediction {
     let mut alive: Vec<usize> = (0..members.len()).filter(|&i| counts[i] > 0).collect();
+    // Processor → its index in `members`, for locating transfer targets.
+    let member_index: HashMap<usize, usize> =
+        members.iter().enumerate().map(|(i, &m)| (m, i)).collect();
     // Per-member availability: when each member resumed computing after
     // the previous synchronization. Receivers resume later than donors and
     // bystanders because they additionally wait for the data movement —
@@ -257,15 +261,10 @@ fn predict_group(
         if outcome.verdict == BalanceVerdict::Move {
             moved += outcome.moved;
             for t in &outcome.transfers {
-                let ridx = members
-                    .iter()
-                    .position(|&m| m == t.to)
-                    .expect("transfer target inside the group");
-                resume[ridx] += system.comm.point_to_point(WORK_HEADER_BYTES)
+                resume[member_index[&t.to]] += system.comm.point_to_point(WORK_HEADER_BYTES)
                     + t.iters as f64 * bytes_per_iter as f64 / net.bandwidth;
             }
-            for (k, &i) in alive.iter().enumerate() {
-                let _ = k;
+            for &i in &alive {
                 overhead += resume[i] - t_ctl;
             }
         }

@@ -64,9 +64,21 @@ impl ClusterSpec {
         self.speeds.len()
     }
 
-    /// Build the per-processor work clocks.
+    /// Build the per-processor work clocks, checking the cluster on the
+    /// way: the cluster-wide fields here, each processor's speed and load
+    /// persistence in [`WorkClock::new`], every check once.
+    ///
+    /// # Panics
+    /// Panics where [`ClusterSpec::validate`] does.
     pub fn clocks(&self) -> Vec<WorkClock> {
-        self.validate();
+        assert_eq!(
+            self.speeds.len(),
+            self.loads.len(),
+            "speeds/loads length mismatch"
+        );
+        assert!(!self.speeds.is_empty(), "need at least one processor");
+        assert!(self.master < self.speeds.len(), "master out of range");
+        self.net.validate();
         self.speeds
             .iter()
             .zip(&self.loads)
@@ -74,26 +86,14 @@ impl ClusterSpec {
             .collect()
     }
 
-    /// Check internal consistency.
+    /// Check internal consistency by building the clocks.
     ///
     /// # Panics
     /// Panics if speeds/loads disagree in length, any speed is
     /// non-positive, any load's persistence is not positive and finite,
     /// or the master is out of range.
     pub fn validate(&self) {
-        assert_eq!(
-            self.speeds.len(),
-            self.loads.len(),
-            "speeds/loads length mismatch"
-        );
-        assert!(!self.speeds.is_empty(), "need at least one processor");
-        assert!(
-            self.speeds.iter().all(|&s| s > 0.0 && s.is_finite()),
-            "speeds must be positive"
-        );
-        self.loads.iter().for_each(LoadSpec::validate);
-        assert!(self.master < self.speeds.len(), "master out of range");
-        self.net.validate();
+        let _ = self.clocks();
     }
 }
 

@@ -470,8 +470,8 @@ enum Fate {
 /// — profile sending, the balancer calculations, acting on an outcome,
 /// resuming, block scheduling and settling, interrupt and work delivery,
 /// closing — has exactly one body, generic over this trait. The two
-/// implementations differ only in where events go, how a message crosses
-/// the medium, and how profiles reach a balancer:
+/// implementations differ only in where events go, which medium a
+/// message crosses, and how profiles reach a balancer:
 ///
 /// * [`Live`] — the global event heap, the shared [`MediumSim`], and the
 ///   open [`Episode`]'s per-balancer profile maps;
@@ -481,44 +481,30 @@ enum Fate {
 ///
 /// Dispatch is static: the type parameter picks the implementation at
 /// compile time, so the live event loop pays nothing for the seam.
-trait Seam {
+trait Seam: Sized {
     /// Queue `kind` at `time` with tie stamp `tie`; returns its sequence
     /// number.
     fn push(e: &mut Engine<'_>, time: f64, tie: f64, kind: EvKind) -> u64;
-    /// Cost one message on the medium; returns its undelayed delivery
-    /// time.
-    fn transmit(
-        e: &mut Engine<'_>,
-        from: usize,
-        to: usize,
-        bytes: usize,
-        now: f64,
-        factors: EndpointFactors,
-    ) -> f64;
-    /// Cost a one-sender fan-out on the medium: one message per `(to,
-    /// recv)` hop, `recv` scaling that receiver's CPU cost and `send` the
-    /// sender's. Pushes each message's receiver and undelayed delivery
-    /// time onto `out`, in hop order.
-    fn transmit_fanout(
-        e: &mut Engine<'_>,
-        from: usize,
-        bytes: usize,
-        now: f64,
-        send: f64,
-        hops: &[(usize, f64)],
-        out: &mut Vec<(usize, f64)>,
-    );
+    /// The medium messages cross: the engine's own or the fast-forward's
+    /// copy, borrowed apart from the rest of the engine.
+    fn net<'a>(medium: &'a mut MediumSim, ff: &'a mut ff::FfScratch) -> &'a mut MediumSim;
     /// The fault plan drops or cuts a message. `true` tells the sender to
     /// stop there (the replay aborts); `false` runs the loss accounting.
     fn abandon_lost(e: &mut Engine<'_>) -> bool;
     /// Hand a sent message to its receiver at `at`.
     fn deliver(e: &mut Engine<'_>, at: f64, to: usize, payload: Payload);
-    /// Hand a fan-out's surviving messages, `(receiver, delivery time)`
-    /// in send order, to their receivers.
-    fn deliver_fanout(e: &mut Engine<'_>, arrivals: &[(usize, f64)], payload: &Payload) {
-        for &(to, at) in arrivals {
-            Self::deliver(e, at, to, payload.clone());
-        }
+    /// Send `p` from `from` to every processor of `to` but `from` itself,
+    /// all at `now`: the one-to-many protocol sends — the interrupt
+    /// fan-out, the distributed profile broadcast and the central
+    /// instruction broadcast. Each message gets the bookkeeping
+    /// [`Engine::send_opts`] gives one message — stats, the fault plan's
+    /// [`Engine::fate`], and delivery — but the medium costs the whole
+    /// fan-out in one sweep ([`now_net::MediumSim::fanout`]), reading
+    /// each receiver's CPU factor as it goes. A lost message has still
+    /// occupied the medium. Only control messages fan out, so no lost
+    /// work is ever logged here.
+    fn fanout(e: &mut Engine<'_>, from: usize, to: &[usize], bytes: usize, now: f64, p: &Payload) {
+        e.fan_each::<Self>(from, to, bytes, now, p);
     }
     /// A profile lands at balancer `at` of group `g`.
     fn record_profile(e: &mut Engine<'_>, g: usize, at: usize, profile: PerfProfile, now: f64);
@@ -543,32 +529,8 @@ impl Seam for Live {
         e.seq
     }
 
-    fn transmit(
-        e: &mut Engine<'_>,
-        from: usize,
-        to: usize,
-        bytes: usize,
-        now: f64,
-        factors: EndpointFactors,
-    ) -> f64 {
-        e.medium
-            .send_with_factors(from, to, bytes, now, factors)
-            .delivered
-    }
-
-    fn transmit_fanout(
-        e: &mut Engine<'_>,
-        from: usize,
-        bytes: usize,
-        now: f64,
-        send: f64,
-        hops: &[(usize, f64)],
-        out: &mut Vec<(usize, f64)>,
-    ) {
-        e.medium
-            .fanout(from, bytes, now, send, hops.iter().copied(), |to, tx| {
-                out.push((to, tx.delivered));
-            });
+    fn net<'a>(medium: &'a mut MediumSim, _: &'a mut ff::FfScratch) -> &'a mut MediumSim {
+        medium
     }
 
     fn abandon_lost(_: &mut Engine<'_>) -> bool {
@@ -712,6 +674,59 @@ struct SlowSpan {
     until: f64,
 }
 
+/// Each processor's work clock, with its cached external-load span.
+/// Every message send queries both endpoints' slowdowns, and the level is
+/// constant within a persistence span, so a re-query inside the cached
+/// `[from, until)` window would return the same value (the `ClockCursor`
+/// reuse argument). `Cell` because a fan-out reads its receivers'
+/// factors through `&self` while the medium is borrowed mutably.
+struct Cpus {
+    clocks: Vec<WorkClock>,
+    spans: Vec<Cell<SlowSpan>>,
+}
+
+impl Cpus {
+    /// CPU-cost multiplier for protocol processing on `node` at `now`:
+    /// the external load shares the CPU (`ℓ+1`), and if the node's
+    /// compute slave is running concurrently (e.g. the LCDLB master
+    /// serving other groups while it still computes) the balancer/PVM
+    /// daemon shares with it too — the paper's "context switching
+    /// between the load balancer and the computation slave" (Section
+    /// 6.2).
+    fn factor(&self, state: &[ProcState], node: usize, now: f64) -> f64 {
+        let mut span = self.spans[node].get();
+        if !(now >= span.from && now < span.until) {
+            let load = self.clocks[node].load();
+            span = SlowSpan {
+                slow: load.slowdown_at(now),
+                from: now,
+                until: load.next_change_after(now),
+            };
+            self.spans[node].set(span);
+        }
+        let share = if state[node] == ProcState::Computing {
+            2.0
+        } else {
+            1.0
+        };
+        (span.slow * share).max(1.0)
+    }
+
+    /// A fan-out's receivers: every processor of `to` but `from`, each
+    /// with its factor at `now`, read as the medium's sweep reaches it.
+    fn receivers<'a>(
+        &'a self,
+        state: &'a [ProcState],
+        from: usize,
+        to: &'a [usize],
+        now: f64,
+    ) -> impl Iterator<Item = (usize, f64)> + 'a {
+        to.iter()
+            .filter(move |&&m| m != from)
+            .map(move |&m| (m, self.factor(state, m, now)))
+    }
+}
+
 /// The simulation engine. Construct with [`Engine::new`], run with
 /// [`Engine::run`].
 pub struct Engine<'w> {
@@ -739,14 +754,7 @@ pub struct Engine<'w> {
     role_master: Vec<usize>,
 
     // --- substrate ---
-    clocks: Vec<WorkClock>,
-    /// Cached external-load span per processor for [`Engine::cpu_factor`]:
-    /// every message send queries both endpoints' slowdowns, and the level
-    /// is constant within a persistence span, so a re-query inside the
-    /// cached `[from, until)` window would return the same value (the
-    /// `ClockCursor` reuse argument). `Cell` because the cache is warmed
-    /// from `&self` query paths.
-    slow_spans: Vec<Cell<SlowSpan>>,
+    cpus: Cpus,
     medium: MediumSim,
     events: BinaryHeap<Reverse<Ev>>,
     seq: u64,
@@ -770,10 +778,9 @@ pub struct Engine<'w> {
     boundary_pool: Vec<Vec<f64>>,
     /// Pooled scratch state for the episode fast-forward (Episode mode).
     ff: ff::FfScratch,
-    /// Pooled [`Engine::fanout`] buffers: each message's receiver with
-    /// its undelayed delivery time, and with its CPU factor.
+    /// Pooled fan-out buffer: each message's receiver and delivery time,
+    /// or the balancers a replayed profile broadcast completed, and when.
     fan_arrivals: Vec<(usize, f64)>,
-    fan_hops: Vec<(usize, f64)>,
 
     // --- coalesced heartbeats (Episode mode) ---
     /// Liveness ticks fired so far (`faults.heartbeat_sweeps` mirror).
@@ -905,7 +912,8 @@ impl<'w> Engine<'w> {
         cfg: Option<StrategyConfig>,
     ) -> Self {
         let cluster: Arc<ClusterSpec> = cluster.into();
-        cluster.validate();
+        // Builds the clocks and validates the cluster, each check once.
+        let clocks = cluster.clocks();
         if let Some(c) = &cfg {
             c.validate();
         }
@@ -964,7 +972,6 @@ impl<'w> Engine<'w> {
             })
             .collect();
         let medium = MediumSim::new(cluster.net, p);
-        let clocks = cluster.clocks();
         Self {
             bytes_per_iter: workload.bytes_per_iter(),
             master: cluster.master,
@@ -975,16 +982,18 @@ impl<'w> Engine<'w> {
             cluster,
             workload,
             cfg,
-            clocks,
-            slow_spans: (0..p)
-                .map(|_| {
-                    Cell::new(SlowSpan {
-                        slow: 1.0,
-                        from: 0.0,
-                        until: f64::NEG_INFINITY,
+            cpus: Cpus {
+                clocks,
+                spans: (0..p)
+                    .map(|_| {
+                        Cell::new(SlowSpan {
+                            slow: 1.0,
+                            from: 0.0,
+                            until: f64::NEG_INFINITY,
+                        })
                     })
-                })
-                .collect(),
+                    .collect(),
+            },
             medium,
             events: BinaryHeap::new(),
             seq: 0,
@@ -996,7 +1005,6 @@ impl<'w> Engine<'w> {
             boundary_pool: Vec::new(),
             ff: ff::FfScratch::default(),
             fan_arrivals: Vec::new(),
-            fan_hops: Vec::new(),
             hb_ticks_counted: 0,
             hb_target: None,
             queues,
@@ -1248,31 +1256,6 @@ impl<'w> Engine<'w> {
         }
     }
 
-    /// CPU-cost multiplier for protocol processing on `node` at `now`:
-    /// the external load shares the CPU (`ℓ+1`), and if the node's compute
-    /// slave is running concurrently (e.g. the LCDLB master serving other
-    /// groups while it still computes) the balancer/PVM daemon shares with
-    /// it too — the paper's "context switching between the load balancer
-    /// and the computation slave" (Section 6.2).
-    fn cpu_factor(&self, node: usize, now: f64) -> f64 {
-        let mut span = self.slow_spans[node].get();
-        if !(now >= span.from && now < span.until) {
-            let load = self.clocks[node].load();
-            span = SlowSpan {
-                slow: load.slowdown_at(now),
-                from: now,
-                until: load.next_change_after(now),
-            };
-            self.slow_spans[node].set(span);
-        }
-        let share = if self.state[node] == ProcState::Computing {
-            2.0
-        } else {
-            1.0
-        };
-        (span.slow * share).max(1.0)
-    }
-
     /// Single mutation point for the `active` flags, keeping the O(1)
     /// active-processor count in lock-step (the periodic tick used to
     /// recount all P flags on every interval).
@@ -1332,10 +1315,12 @@ impl<'w> Engine<'w> {
         exempt: bool,
     ) {
         let factors = EndpointFactors {
-            send: self.cpu_factor(from, now),
-            recv: self.cpu_factor(to, now),
+            send: self.cpus.factor(&self.state, from, now),
+            recv: self.cpus.factor(&self.state, to, now),
         };
-        let delivered = M::transmit(self, from, to, bytes, now, factors);
+        let delivered = M::net(&mut self.medium, &mut self.ff)
+            .send_with_factors(from, to, bytes, now, factors)
+            .delivered;
         match &payload {
             Payload::Work { ranges, .. } => {
                 self.stats.transfer_messages += 1;
@@ -1368,64 +1353,60 @@ impl<'w> Engine<'w> {
         }
     }
 
-    /// Send `payload` from `from` to every processor of `to` but `from`
-    /// itself, all at `now`: the one-to-many protocol sends — the
-    /// interrupt fan-out, the distributed profile broadcast and the
-    /// central instruction broadcast. The sender's CPU factor is read
-    /// once, and the medium costs the whole fan-out in one pass
-    /// ([`now_net::MediumSim::fanout`]); then each message,
-    /// in `msg_seq` order, gets the bookkeeping [`Engine::send_opts`]
-    /// gives one message: stats, the fault plan's [`Engine::fate`], and
-    /// delivery. A lost message has still occupied the medium. Only
-    /// control messages fan out, so no lost work is ever logged here.
-    fn fanout<M: Seam>(
+    /// The fan-out body both seams share: one sweep over the receivers,
+    /// then each message's fate and delivery, in send order.
+    fn fan_each<M: Seam>(
         &mut self,
         from: usize,
         to: &[usize],
         bytes: usize,
-        payload: Payload,
         now: f64,
+        payload: &Payload,
     ) {
         debug_assert!(matches!(
             payload,
             Payload::Interrupt { .. } | Payload::Profile { .. } | Payload::Instruction { .. }
         ));
-        let send = self.cpu_factor(from, now);
-        let mut hops = std::mem::take(&mut self.fan_hops);
-        hops.clear();
-        hops.extend(
-            to.iter()
-                .filter(|&&m| m != from)
-                .map(|&m| (m, self.cpu_factor(m, now))),
+        let mut sent = std::mem::take(&mut self.fan_arrivals);
+        sent.clear();
+        M::net(&mut self.medium, &mut self.ff).fanout(
+            from,
+            bytes,
+            now,
+            self.cpus.factor(&self.state, from, now),
+            self.cpus.receivers(&self.state, from, to, now),
+            |to, tx| sent.push((to, tx.delivered)),
         );
-        let mut arrivals = std::mem::take(&mut self.fan_arrivals);
-        arrivals.clear();
-        M::transmit_fanout(self, from, bytes, now, send, &hops, &mut arrivals);
-        self.fan_hops = hops;
-        if !arrivals.is_empty() {
-            self.stats.control_messages += arrivals.len() as u64;
+        self.fan_sent(from, now, sent.len());
+        for &(m, at) in &sent {
+            let at = if self.fault_active {
+                match self.fate::<M>(from, m, now, at, true) {
+                    Fate::Deliver(at) => at,
+                    Fate::Lost => continue,
+                    // The replay aborted and is discarded with everything
+                    // delivered into it.
+                    Fate::Abandoned => break,
+                }
+            } else {
+                at
+            };
+            M::deliver(self, at, m, payload.clone());
+        }
+        self.fan_arrivals = sent;
+    }
+
+    /// Account `n` fan-out messages sent by `from` at `now`. Without a
+    /// fault plan every [`Engine::fate`] is "delivered on time", so their
+    /// `msg_seq` draws are one step; under a plan each message draws its
+    /// own, because the loss and cut checks are keyed by it.
+    fn fan_sent(&mut self, from: usize, now: f64, n: usize) {
+        if n > 0 {
+            self.stats.control_messages += n as u64;
             self.finished_at[from] = self.finished_at[from].max(now);
         }
-        let sent = arrivals.as_mut_slice();
-        let mut kept = 0;
-        for i in 0..sent.len() {
-            let (m, at) = sent[i];
-            match self.fate::<M>(from, m, now, at, true) {
-                Fate::Deliver(at) => {
-                    sent[kept] = (m, at);
-                    kept += 1;
-                }
-                Fate::Lost => {}
-                // The replay aborted: nothing it would deliver matters.
-                Fate::Abandoned => {
-                    kept = 0;
-                    break;
-                }
-            }
+        if !self.fault_active {
+            self.msg_seq += n as u64;
         }
-        arrivals.truncate(kept);
-        M::deliver_fanout(self, &arrivals, &payload);
-        self.fan_arrivals = arrivals;
     }
 
     /// The fault plan's verdict on one costed message `from → to`, sent
@@ -1482,7 +1463,7 @@ impl<'w> Engine<'w> {
             .pop_front_iter()
             .expect("schedule_next_iter requires a non-empty queue");
         let cost = self.workload.iter_cost(iter);
-        let mut done_at = self.clocks[proc].finish_time(now, cost);
+        let mut done_at = self.cpus.clocks[proc].finish_time(now, cost);
         if self.fault_active {
             done_at = self.apply_stalls(proc, now, done_at);
         }
@@ -1532,7 +1513,7 @@ impl<'w> Engine<'w> {
         let wl = self.workload;
         // Uniform loops pay the virtual cost lookup once per block.
         let uniform_cost = wl.is_uniform().then(|| wl.iter_cost(run.start));
-        let mut cursor = ClockCursor::new(&self.clocks[proc]);
+        let mut cursor = ClockCursor::new(&self.cpus.clocks[proc]);
         match uniform_cost {
             // Stall displacement breaks the pure chain, so the batch fast
             // path only applies to fault-free uniform runs.
@@ -1831,7 +1812,14 @@ impl<'w> Engine<'w> {
                 group: g,
                 epoch: self.membership_epoch,
             };
-            self.fanout::<Live>(initiator, &actives[1..], INTERRUPT_BYTES, interrupt, now);
+            Live::fanout(
+                self,
+                initiator,
+                &actives[1..],
+                INTERRUPT_BYTES,
+                now,
+                &interrupt,
+            );
             // The initiator itself reacts at its next iteration boundary.
             self.flag_interrupt::<Live>(initiator, now);
         }
@@ -1875,7 +1863,7 @@ impl<'w> Engine<'w> {
             group: g,
             epoch: self.membership_epoch,
         };
-        self.fanout::<M>(initiator, peers, INTERRUPT_BYTES, interrupt, now);
+        M::fanout(self, initiator, peers, INTERRUPT_BYTES, now, &interrupt);
         self.send_profile::<M>(initiator, now);
     }
 
@@ -1939,7 +1927,14 @@ impl<'w> Engine<'w> {
                 // Record locally first…
                 M::record_profile(self, g, proc, profile, now);
                 // …then broadcast to the other participants.
-                self.fanout::<M>(proc, &participants, PerfProfile::WIRE_BYTES, payload, now);
+                M::fanout(
+                    self,
+                    proc,
+                    &participants,
+                    PerfProfile::WIRE_BYTES,
+                    now,
+                    &payload,
+                );
             }
         }
     }
@@ -1980,7 +1975,7 @@ impl<'w> Engine<'w> {
         let role = self.role_of_group[g];
         let host = self.balancer_host(g);
         let start = now.max(self.role_busy[role]);
-        let done = start + cfg.calc_cost * self.cpu_factor(host, now);
+        let done = start + cfg.calc_cost * self.cpus.factor(&self.state, host, now);
         self.role_busy[role] = done;
         self.push::<M>(done, EvKind::CalcCentral { group: g });
     }
@@ -2018,7 +2013,7 @@ impl<'w> Engine<'w> {
     /// Member `at`'s replicated calculation, on its own (loaded) CPU.
     fn schedule_local_calc<M: Seam>(&mut self, g: usize, at: usize, now: f64) {
         let cfg = *self.cfg.as_ref().expect("distributed profile under DLB");
-        let done = now + cfg.calc_cost * self.cpu_factor(at, now);
+        let done = now + cfg.calc_cost * self.cpus.factor(&self.state, at, now);
         self.push::<M>(done, EvKind::CalcLocal { group: g, proc: at });
     }
 
@@ -2079,7 +2074,14 @@ impl<'w> Engine<'w> {
             epoch: self.membership_epoch,
             episode: episode_id,
         };
-        self.fanout::<M>(master, &participants, INSTRUCTION_BYTES, instruction, now);
+        M::fanout(
+            self,
+            master,
+            &participants,
+            INSTRUCTION_BYTES,
+            now,
+            &instruction,
+        );
         if participants.binary_search(&master).is_ok() {
             self.act_on_outcome::<M>(master, g, &outcome, now);
         }

@@ -28,9 +28,13 @@
 //!   live loop schedules the calculation — is the latest delivery time.
 //!   The replay schedules the calculation directly off it, with the event
 //!   clock set to that instant, and the O(K)..O(K²) profile deliveries
-//!   never become events. A distributed profile broadcast is counted in
-//!   one pass over its arrivals, scheduling each balancer it completes
-//!   in send order, as the per-message path would.
+//!   never become events. Without a fault plan a distributed profile
+//!   broadcast is counted inside the medium's sweep ([`Seam::fanout`]):
+//!   each receiver's count and latest arrival are updated as the medium
+//!   costs its message, and the balancers the broadcast completes have
+//!   their calculations scheduled after the sweep, in send order, as the
+//!   per-message path would. Under a fault plan each profile is recorded
+//!   after its own fate.
 //! * **Same event order.** The private heap orders by the engine's own
 //!   [`Ev`] key. Seed `BlockDone` events reuse the real heap's sequence
 //!   numbers ([`BlockRun::seq`]); replay-scheduled events draw from a
@@ -88,32 +92,8 @@ impl Seam for Replay {
         s.seq
     }
 
-    fn transmit(
-        e: &mut Engine<'_>,
-        from: usize,
-        to: usize,
-        bytes: usize,
-        now: f64,
-        factors: EndpointFactors,
-    ) -> f64 {
-        let net = e.ff.net.as_mut().expect("medium copied at snapshot");
-        net.send_with_factors(from, to, bytes, now, factors)
-            .delivered
-    }
-
-    fn transmit_fanout(
-        e: &mut Engine<'_>,
-        from: usize,
-        bytes: usize,
-        now: f64,
-        send: f64,
-        hops: &[(usize, f64)],
-        out: &mut Vec<(usize, f64)>,
-    ) {
-        let net = e.ff.net.as_mut().expect("medium copied at snapshot");
-        net.fanout(from, bytes, now, send, hops.iter().copied(), |to, tx| {
-            out.push((to, tx.delivered));
-        });
+    fn net<'a>(_: &'a mut MediumSim, ff: &'a mut FfScratch) -> &'a mut MediumSim {
+        ff.net.as_mut().expect("medium copied at snapshot")
     }
 
     /// Drops and cuts change the protocol flow (watchdog rounds,
@@ -137,30 +117,43 @@ impl Seam for Replay {
         }
     }
 
-    /// A profile broadcast is counted in one pass: per receiver, its
-    /// count and latest arrival. A receiver it completes has its
-    /// calculation scheduled on the spot, so completions push in send
-    /// order, as on the per-message path.
-    fn deliver_fanout(e: &mut Engine<'_>, arrivals: &[(usize, f64)], payload: &Payload) {
-        let Payload::Profile { group, profile, .. } = *payload else {
-            for &(to, at) in arrivals {
-                Self::deliver(e, at, to, payload.clone());
-            }
-            return;
+    /// Without a fault plan a profile broadcast is counted inside the
+    /// medium's sweep: per receiver, its count and latest arrival. The
+    /// balancers it completes have their calculations scheduled after the
+    /// sweep, in send order, as on the per-message path. Under a fault
+    /// plan every message takes its own fate first ([`Engine::fan_each`]).
+    fn fanout(e: &mut Engine<'_>, from: usize, to: &[usize], bytes: usize, now: f64, p: &Payload) {
+        let (&Payload::Profile { group, profile, .. }, false) = (p, e.fault_active) else {
+            return e.fan_each::<Self>(from, to, bytes, now, p);
         };
-        if arrivals.is_empty() {
-            return;
-        }
         debug_assert!(
             e.ff.distributed,
             "only distributed control broadcasts profiles"
         );
+        let mut net = e.ff.net.take().expect("medium copied at snapshot");
         e.ff.store_profile(profile);
-        for &(to, at) in arrivals {
-            if let Some(t) = e.ff.local_arrival(to, at) {
-                Self::schedule_calc(e, group, to, t);
-            }
+        let mut completed = std::mem::take(&mut e.fan_arrivals);
+        completed.clear();
+        let mut n = 0;
+        net.fanout(
+            from,
+            bytes,
+            now,
+            e.cpus.factor(&e.state, from, now),
+            e.cpus.receivers(&e.state, from, to, now),
+            |to, tx| {
+                n += 1;
+                if let Some(t) = e.ff.local_arrival(to, tx.delivered) {
+                    completed.push((to, t));
+                }
+            },
+        );
+        e.ff.net = Some(net);
+        e.fan_sent(from, now, n);
+        for &(at, t) in &completed {
+            Self::schedule_calc(e, group, at, t);
         }
+        e.fan_arrivals = completed;
     }
 
     /// One shared, participant-ordered profile store models every

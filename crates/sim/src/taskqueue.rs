@@ -62,7 +62,6 @@ pub fn run_task_queue(
     workload: &dyn LoopWorkload,
     scheme: ChunkScheme,
 ) -> RunReport {
-    cluster.validate();
     let p = cluster.processors();
     let clocks = cluster.clocks();
     let mut medium = MediumSim::new(cluster.net, p);
