@@ -170,7 +170,7 @@ const PINS_P256: &[(&str, &str, [u64; 10])] = &[
 /// Report digest and counters of the P=64 runs under fault plans.
 #[rustfmt::skip]
 const PINS_LOSSY_P64: &[(&str, &str, [u64; 10])] = &[
-    ("GDDLB", "9e59aa8f591ffa04", [11245, 157, 0, 11088, 0, 3, 0, 3, 0, 0]),
+    ("GDDLB", "9e59aa8f591ffa04", [11245, 157, 0, 11088, 0, 3, 1, 2, 0, 0]),
     ("GCDLB", "0aeb06be02a35a2f", [1127, 330, 0, 797, 0, 5, 1, 4, 0, 0]),
     ("GDDLB delay", "088f216e3ef4610e", [166, 162, 0, 4, 4, 0, 0, 0, 0, 0]),
     ("GCDLB delay", "d30701d26994b325", [156, 152, 0, 4, 4, 0, 0, 0, 0, 0]),
