@@ -75,11 +75,6 @@ impl DlbArray {
         self.dims.iter().product()
     }
 
-    /// Total byte size.
-    pub fn total_bytes(&self) -> u64 {
-        self.elements() * self.elem_bytes as u64
-    }
-
     /// Elements in one slice of the distributed dimension — the *data
     /// communication per iteration* `DC_a` of the model. `None` for WHOLE
     /// arrays (they never move).
@@ -133,7 +128,6 @@ mod tests {
         let mut z = DlbArray::block_2d("Z", 400, 800, 8);
         z.moves_with_work = false;
         assert_eq!(z.bytes_per_iteration(), 0);
-        assert_eq!(z.total_bytes(), 400 * 800 * 8);
     }
 
     #[test]

@@ -97,21 +97,6 @@ impl CostIndex {
     pub fn prefix(&self) -> &[f64] {
         &self.prefix
     }
-
-    /// Boundary search: how many whole iterations, starting at `start`,
-    /// fit into a work budget of `budget` base-processor seconds?
-    /// Cumulative costs are measured against this index's prefix sums
-    /// (`prefix[k] - prefix[start]`), so the answer agrees with the O(1)
-    /// `range_cost` geometry. O(log n).
-    ///
-    /// # Panics
-    /// Panics if `start > iterations()`.
-    pub fn iters_within(&self, start: u64, budget: f64) -> u64 {
-        let base = self.prefix[start as usize];
-        let tail = &self.prefix[start as usize..];
-        // First k (relative) with prefix beyond the budget; k - 1 fit.
-        (tail.partition_point(|&p| p - base <= budget) - 1) as u64
-    }
 }
 
 /// A workload plus its [`CostIndex`]: same iteration semantics, O(1)
@@ -228,40 +213,6 @@ mod tests {
         // Powers of two sum without rounding: every subrange exact.
         for (a, b) in [(0, 64), (5, 9), (0, 0), (63, 64)] {
             assert_eq!(ix.range_cost(a, b), (b - a) as f64 * 0.25);
-        }
-    }
-
-    #[test]
-    fn iters_within_counts_whole_iterations() {
-        let tri = CostFnLoop::new(10, 8, |i| (i + 1) as f64); // costs 1..=10
-        let ix = CostIndex::build(&tri);
-        assert_eq!(ix.iters_within(0, 0.0), 0);
-        assert_eq!(ix.iters_within(0, 0.5), 0);
-        assert_eq!(ix.iters_within(0, 1.0), 1); // exactly the first cost
-        assert_eq!(ix.iters_within(0, 5.9), 2); // 1 + 2 fit, + 3 does not
-        assert_eq!(ix.iters_within(0, 55.0), 10); // whole loop
-        assert_eq!(ix.iters_within(0, 1e9), 10); // budget beyond the loop
-        assert_eq!(ix.iters_within(9, 9.9), 0); // last iteration costs 10
-        assert_eq!(ix.iters_within(10, 5.0), 0); // empty tail
-    }
-
-    #[test]
-    fn iters_within_agrees_with_linear_scan() {
-        let wl = CostFnLoop::new(200, 8, |i| ((i * 29 + 7) % 13 + 1) as f64 * 1e-3);
-        let ix = CostIndex::build(&wl);
-        for start in [0u64, 1, 57, 199] {
-            for budget in [0.0, 1e-4, 3e-3, 0.05, 0.4, 10.0] {
-                // Reference: linear scan against the same prefix geometry.
-                let mut k = 0;
-                while start + k < 200 && ix.range_cost(start, start + k + 1) <= budget {
-                    k += 1;
-                }
-                assert_eq!(
-                    ix.iters_within(start, budget),
-                    k,
-                    "start {start} budget {budget}"
-                );
-            }
         }
     }
 

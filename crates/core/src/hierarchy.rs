@@ -88,12 +88,6 @@ impl GroupTree {
         g / self.fanout
     }
 
-    /// The domain index of leaf group `g` at `level`.
-    pub fn domain_of(&self, g: usize, level: usize) -> usize {
-        debug_assert!(g < self.leaf_groups);
-        g / self.span(level)
-    }
-
     /// Leaf-group index range covered by domain `d` at `level`.
     pub fn leaf_range(&self, level: usize, d: usize) -> Range<usize> {
         let span = self.span(level);
@@ -141,7 +135,6 @@ mod tests {
         assert_eq!(t.span(2), 16);
         assert_eq!(t.span(3), 64);
         assert_eq!(t.domains_at(3), 1);
-        assert_eq!(t.domain_of(63, 2), 3);
     }
 
     #[test]

@@ -144,19 +144,16 @@ impl ChunkQueue {
         self.remaining -= grant;
         Some(grant)
     }
-
-    /// Drain all chunks (for tests and for static analyses).
-    pub fn chunk_sequence(mut self) -> Vec<u64> {
-        std::iter::from_fn(|| self.next_chunk()).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every chunk the queue grants, in order.
     fn seq(scheme: ChunkScheme, total: u64, p: usize) -> Vec<u64> {
-        ChunkQueue::new(scheme, total, p).chunk_sequence()
+        let mut q = ChunkQueue::new(scheme, total, p);
+        std::iter::from_fn(|| q.next_chunk()).collect()
     }
 
     #[test]

@@ -38,13 +38,6 @@ impl PerfProfile {
         (self.iters_done as f64 / self.elapsed).max(MIN_RATE)
     }
 
-    /// Forecast of the time to drain `remaining` at the measured rate —
-    /// the analogue of CHARM's "forecasted finish time", used by the
-    /// profitability analysis.
-    pub fn forecast_finish(&self) -> f64 {
-        self.remaining as f64 / self.rate()
-    }
-
     /// On-the-wire size of a profile message in bytes (id + three 8-byte
     /// fields), used by the simulator to cost the sends.
     pub const WIRE_BYTES: usize = 32;
@@ -74,7 +67,6 @@ mod tests {
             remaining: 100,
         };
         assert_eq!(p.rate(), MIN_RATE);
-        assert!(p.forecast_finish().is_finite());
     }
 
     #[test]
@@ -86,27 +78,5 @@ mod tests {
             remaining: 5,
         };
         assert_eq!(p.rate(), MIN_RATE);
-    }
-
-    #[test]
-    fn forecast_scales_with_remaining() {
-        let p = PerfProfile {
-            proc: 0,
-            iters_done: 100,
-            elapsed: 1.0,
-            remaining: 200,
-        };
-        assert!((p.forecast_finish() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_queue_finishes_now() {
-        let p = PerfProfile {
-            proc: 0,
-            iters_done: 100,
-            elapsed: 1.0,
-            remaining: 0,
-        };
-        assert_eq!(p.forecast_finish(), 0.0);
     }
 }

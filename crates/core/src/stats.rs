@@ -36,18 +36,6 @@ impl DlbStats {
             BalanceVerdict::Finished => {}
         }
     }
-
-    /// Merge counters from another run segment (e.g. per-group stats).
-    pub fn merge(&mut self, other: &DlbStats) {
-        self.syncs += other.syncs;
-        self.redistributions += other.redistributions;
-        self.unprofitable += other.unprofitable;
-        self.below_threshold += other.below_threshold;
-        self.iters_moved += other.iters_moved;
-        self.transfer_messages += other.transfer_messages;
-        self.control_messages += other.control_messages;
-        self.bytes_moved += other.bytes_moved;
-    }
 }
 
 #[cfg(test)]
@@ -65,24 +53,5 @@ mod tests {
         assert_eq!(s.redistributions, 2);
         assert_eq!(s.unprofitable, 1);
         assert_eq!(s.below_threshold, 1);
-    }
-
-    #[test]
-    fn merge_adds_fields() {
-        let mut a = DlbStats {
-            syncs: 1,
-            iters_moved: 10,
-            ..Default::default()
-        };
-        let b = DlbStats {
-            syncs: 2,
-            iters_moved: 5,
-            bytes_moved: 100,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.syncs, 3);
-        assert_eq!(a.iters_moved, 15);
-        assert_eq!(a.bytes_moved, 100);
     }
 }

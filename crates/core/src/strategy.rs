@@ -218,14 +218,6 @@ impl StrategyConfig {
         }
     }
 
-    /// The group index of processor `proc` under this configuration.
-    pub fn group_of(&self, p: usize, proc: usize) -> usize {
-        self.groups(p)
-            .iter()
-            .position(|g| g.contains(&proc))
-            .expect("every processor belongs to a group")
-    }
-
     /// Validate ranges; called by runtimes before a run.
     ///
     /// # Panics
@@ -380,13 +372,6 @@ mod tests {
         let mut cfg = StrategyConfig::paper(Strategy::Lddlb, 4);
         cfg.grouping = Grouping::Random { seed: 42 };
         assert_eq!(cfg.groups(12), cfg.groups(12));
-    }
-
-    #[test]
-    fn group_of_locates_processor() {
-        let cfg = StrategyConfig::paper(Strategy::Lddlb, 8);
-        assert_eq!(cfg.group_of(16, 3), 0);
-        assert_eq!(cfg.group_of(16, 11), 1);
     }
 
     #[test]

@@ -274,16 +274,6 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Crash time for `proc`, if the plan crashes it (the first crash
-    /// when a recovery sequence crashes it more than once).
-    pub fn crash_time(&self, proc: usize) -> Option<f64> {
-        self.crashes
-            .iter()
-            .filter(|c| c.proc == proc)
-            .map(|c| c.at)
-            .min_by(f64::total_cmp)
-    }
-
     /// Is the directed link `from → to` cut at `time`? Self-sends are
     /// never cut (a partition separates machines, not a machine from
     /// itself).
@@ -331,16 +321,6 @@ impl FaultPlan {
             _ => 1.0,
         }
     }
-
-    /// Total compute time `proc` loses to stalls if it computes from
-    /// `start` to `until` wall-clock (used by tests; the simulator walks
-    /// intervals incrementally).
-    pub fn stalled_time_in(&self, proc: usize, start: f64, until: f64) -> f64 {
-        self.stalls_for(proc)
-            .iter()
-            .map(|s| (s.until.min(until) - s.from.max(start)).max(0.0))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -354,7 +334,6 @@ mod tests {
         assert!(p.validate(8).is_ok());
         assert!(!p.drops_message(0));
         assert_eq!(p.delay_factor_at(5.0), 1.0);
-        assert_eq!(p.crash_time(3), None);
     }
 
     #[test]
@@ -566,9 +545,6 @@ mod tests {
             ],
             ..FaultPlan::default()
         };
-        assert_eq!(plan.stalled_time_in(2, 0.0, 10.0), 5.0);
-        assert_eq!(plan.stalled_time_in(2, 1.5, 6.0), 1.5);
-        assert_eq!(plan.stalled_time_in(0, 0.0, 10.0), 0.0);
         let spans = plan.stalls_for(2);
         assert_eq!(spans.len(), 2);
         assert!(spans[0].from < spans[1].from);

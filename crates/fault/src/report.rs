@@ -76,15 +76,6 @@ impl FaultReport {
             .map(DetectionRecord::latency)
             .max_by(f64::total_cmp)
     }
-
-    /// Mean detection latency, if any deaths were detected.
-    pub fn mean_detection_latency(&self) -> Option<f64> {
-        if self.detections.is_empty() {
-            return None;
-        }
-        let sum: f64 = self.detections.iter().map(DetectionRecord::latency).sum();
-        Some(sum / self.detections.len() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +86,6 @@ mod tests {
     fn latency_stats() {
         let mut r = FaultReport::default();
         assert_eq!(r.max_detection_latency(), None);
-        assert_eq!(r.mean_detection_latency(), None);
         r.detections.push(DetectionRecord {
             proc: 1,
             crashed_at: 1.0,
@@ -109,6 +99,5 @@ mod tests {
             iters_recovered: 4,
         });
         assert_eq!(r.max_detection_latency(), Some(1.0));
-        assert_eq!(r.mean_detection_latency(), Some(0.75));
     }
 }

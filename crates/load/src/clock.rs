@@ -46,11 +46,6 @@ impl WorkClock {
         &self.load
     }
 
-    /// Instantaneous application-visible speed at time `t`: `S/(ℓ(t)+1)`.
-    pub fn rate_at(&self, t: f64) -> f64 {
-        self.speed / self.load.slowdown_at(t)
-    }
-
     /// Wall-clock instant at which `work` base-seconds of work, started at
     /// `start`, finish. Exact across load-level changes.
     ///
@@ -333,13 +328,6 @@ mod tests {
     fn zero_work_finishes_immediately() {
         let c = WorkClock::new(LoadSpec::Constant { level: 5 }, 1.0);
         assert_eq!(c.finish_time(3.0, 0.0), 3.0);
-    }
-
-    #[test]
-    fn rate_at_tracks_load() {
-        let c = WorkClock::new(trace(vec![0, 4], 1.0), 2.0);
-        assert!((c.rate_at(0.5) - 2.0).abs() < 1e-12);
-        assert!((c.rate_at(1.5) - 0.4).abs() < 1e-12);
     }
 
     #[test]

@@ -29,13 +29,6 @@ impl SplitMix64 {
         Self::mix(self.state)
     }
 
-    /// Next value reduced to `0..bound` (Lemire-style multiply-shift;
-    /// bias is negligible for the tiny bounds used by load functions).
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
-    }
-
     /// The stateless mixing finalizer: a bijection on `u64`.
     #[inline]
     pub fn mix(mut z: u64) -> u64 {
@@ -92,14 +85,6 @@ mod tests {
     fn hash2_random_access_matches_itself() {
         for k in [0u64, 1, 17, 1_000_000, u64::MAX] {
             assert_eq!(SplitMix64::hash2(7, k), SplitMix64::hash2(7, k));
-        }
-    }
-
-    #[test]
-    fn next_below_respects_bound() {
-        let mut g = SplitMix64::new(3);
-        for _ in 0..10_000 {
-            assert!(g.next_below(6) < 6);
         }
     }
 

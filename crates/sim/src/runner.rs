@@ -80,18 +80,6 @@ pub struct StrategySweep {
 }
 
 impl StrategySweep {
-    /// `(label, normalized time)` rows exactly as the paper's figures plot
-    /// them (normalized to the no-DLB run).
-    pub fn normalized_rows(&self) -> Vec<(&'static str, f64)> {
-        let mut rows = vec![("noDLB", 1.0)];
-        rows.extend(
-            self.strategies
-                .iter()
-                .map(|r| (r.label(), r.normalized_to(&self.no_dlb))),
-        );
-        rows
-    }
-
     /// Strategies ranked best-first by measured time — the "Actual" columns
     /// of Tables 1 and 2.
     pub fn actual_order(&self) -> Vec<Strategy> {
@@ -138,11 +126,9 @@ mod tests {
         let cluster = ClusterSpec::paper_homogeneous(4, 3, 0.5);
         let sweep = run_all_strategies(&cluster, &wl, 2);
         assert_eq!(sweep.strategies.len(), 4);
-        let rows = sweep.normalized_rows();
-        assert_eq!(rows.len(), 5);
-        assert_eq!(rows[0], ("noDLB", 1.0));
-        for (label, t) in &rows[1..] {
-            assert!(*t > 0.0, "{label} must have positive normalized time");
+        for r in &sweep.strategies {
+            let t = r.normalized_to(&sweep.no_dlb);
+            assert!(t > 0.0, "{} must have positive normalized time", r.label());
         }
     }
 
