@@ -1,6 +1,6 @@
 //! Engine self-benchmark: the per-iteration reference vs the default
-//! episode engine (block stepping plus episode fast-forward), on the
-//! paper's heaviest MXM cell.
+//! episode engine (block stepping plus analytic profile completion), on
+//! the paper's heaviest MXM cell.
 //!
 //! Usage:
 //!
@@ -10,9 +10,9 @@
 //!
 //! For noDLB plus each of the four strategies, the run is executed once
 //! in each engine mode. The table reports the heap-event totals broken
-//! down by kind (compute vs. protocol vs. heartbeat) and the episode
-//! fast-forward commit/fallback counts, and the bench asserts that both
-//! modes' `RunReport`s serialize to exactly the same bytes (the episode
+//! down by kind (compute vs. protocol vs. heartbeat), and the bench
+//! asserts that both modes' `RunReport`s serialize to exactly the same
+//! bytes (the episode
 //! engine's correctness contract — CI fails if it trips). `--quick`
 //! scales the cell down for CI smoke; the default is the full Fig. 6
 //! cell (MXM R=3200, P=16). Results land in `BENCH_engine.json`
@@ -25,18 +25,19 @@
 //! P=1024 cell, which skips the reference, still pins report bytes. A change
 //! that moves a count re-pins the table in its own diff. Other cells print their counts ungated; the
 //! full P=16 cell is pinned by the now-sim test
-//! `fast_forward_engagement_is_pinned_on_the_full_cell`. Wall time is
+//! `episode_counters_are_pinned_on_the_full_cell`. Wall time is
 //! measured by `perfbench`; the one wall number here is informational.
 //!
 //! `--procs P` runs a **large-P scaling cell** instead of the paper
 //! cell: the iteration count scales with P (constant work per
 //! processor), the strategy set narrows to noDLB + GDDLB + LCDLB +
 //! LDDLB (one global-distributed scheme and both local ones), and LCDLB
-//! runs under a two-level group hierarchy (DESIGN.md §S16) once P ≥ 64. At P ≥ 1024 the per-iteration
-//! reference is skipped — its O(P) broadcast replay is exactly the
-//! cost this cell demonstrates the episode engine avoids — so no
-//! byte-identity assert runs there (the reference is pinned separately
-//! by the P=64 equivalence test).
+//! runs under a two-level group hierarchy (DESIGN.md §S16) once P ≥ 64.
+//! At P ≥ 1024 the per-iteration reference is skipped — its
+//! per-iteration and per-profile events are exactly the cost this cell
+//! demonstrates the episode engine avoids — so no byte-identity assert
+//! runs there (the reference is pinned separately by the P=64
+//! equivalence test).
 
 use dlb_apps::MxmConfig;
 use dlb_bench::{
@@ -49,47 +50,40 @@ use serde::Serialize;
 use std::time::Instant;
 
 /// The counters of one run kind, in pin order: the reference's heap
-/// events, then the episode engine's [`EngineCounters`].
-const COUNTERS: [&str; 13] = [
+/// events, then the episode engine's [`EngineCounters`] event counts.
+const COUNTERS: [&str; 6] = [
     "events_per_iter",
     "events",
     "compute_events",
     "protocol_events",
     "heartbeat_events",
-    "episodes_fast_forwarded",
-    "episodes_fallback",
-    "ff_fallback_foreign",
-    "ff_fallback_fault",
-    "ff_fallback_delay",
-    "ff_fallback_switch",
-    "ff_discarded_events",
     "report_fnv",
 ];
 
 /// One cell's pinned counts: a run kind and its `COUNTERS` values.
-type KindPins = &'static [(&'static str, [u64; 13])];
+type KindPins = &'static [(&'static str, [u64; 6])];
 
 /// Exact counts per cell and run kind.
 #[rustfmt::skip]
 const PINS: &[(&str, KindPins)] = &[
     ("quick paper P=4", &[
-        ("noDLB", [100, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xedbbd01dca946d69]),
-        ("GCDLB", [149, 25, 21, 4, 0, 4, 0, 0, 0, 0, 0, 0, 0x3af24ddb4e681d5f]),
-        ("GDDLB", [177, 23, 19, 4, 0, 4, 0, 0, 0, 0, 0, 0, 0x61b7458f5e89a825]),
-        ("LCDLB", [129, 26, 12, 14, 0, 3, 2, 2, 0, 0, 0, 2, 0x84e1e0145fd07089]),
-        ("LDDLB", [129, 22, 12, 10, 0, 4, 1, 1, 0, 0, 0, 1, 0x23c572a8de2026f3]),
+        ("noDLB", [100, 4, 4, 0, 0, 0xedbbd01dca946d69]),
+        ("GCDLB", [149, 71, 32, 39, 0, 0x3af24ddb4e681d5f]),
+        ("GDDLB", [177, 76, 30, 46, 0, 0x61b7458f5e89a825]),
+        ("LCDLB", [129, 39, 15, 24, 0, 0x84e1e0145fd07089]),
+        ("LDDLB", [129, 41, 16, 25, 0, 0x23c572a8de2026f3]),
     ]),
     ("quick scaling P=256", &[
-        ("noDLB", [6400, 256, 256, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x90967468625b3864]),
-        ("GDDLB", [169047, 350, 346, 4, 0, 4, 0, 0, 0, 0, 0, 0, 0x561f06f0a608e260]),
-        ("LCDLB", [8310, 2867, 968, 1899, 0, 2, 74, 74, 0, 0, 0, 19, 0x71ee0b1021b6e0e7]),
-        ("LDDLB", [10869, 5277, 816, 4461, 0, 2, 61, 61, 0, 0, 0, 10, 0xeec1e64af3f2d40f]),
+        ("noDLB", [6400, 256, 256, 0, 0, 0x90967468625b3864]),
+        ("GDDLB", [169047, 3779, 1183, 2596, 0, 0x561f06f0a608e260]),
+        ("LCDLB", [8310, 2401, 970, 1431, 0, 0x71ee0b1021b6e0e7]),
+        ("LDDLB", [10869, 2401, 817, 1584, 0, 0xeec1e64af3f2d40f]),
     ]),
     ("quick scaling P=1024", &[
-        ("noDLB", [0, 1024, 1024, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x561427b34359846f]),
-        ("GDDLB", [0, 1077, 1074, 3, 0, 3, 0, 0, 0, 0, 0, 0, 0xe629e266cb3e44d6]),
-        ("LCDLB", [0, 9283, 3048, 6235, 0, 2, 233, 233, 0, 0, 0, 7, 0xb3283504528607ec]),
-        ("LDDLB", [0, 21980, 3260, 18720, 0, 0, 253, 253, 0, 0, 0, 7, 0x39291d5f9e7dcbc8]),
+        ("noDLB", [0, 1024, 1024, 0, 0, 0x561427b34359846f]),
+        ("GDDLB", [0, 10352, 3312, 7040, 0, 0xe629e266cb3e44d6]),
+        ("LCDLB", [0, 7705, 3055, 4650, 0, 0xb3283504528607ec]),
+        ("LDDLB", [0, 9886, 3260, 6626, 0, 0x39291d5f9e7dcbc8]),
     ]),
 ];
 
@@ -104,20 +98,6 @@ struct RunBench {
     episode_compute_events: u64,
     episode_protocol_events: u64,
     episode_heartbeat_events: u64,
-    /// Sync episodes fast-forwarded analytically vs. replayed
-    /// per-message (fallback).
-    episodes_fast_forwarded: u64,
-    episodes_fallback: u64,
-    /// Fallback causes: a foreign (cross-group) message arrived in the
-    /// window, a fault intersected the episode, a delay régime change
-    /// invalidated the cached timings, or a §S17 strategy switch forced
-    /// the group's next episode onto the per-message path.
-    ff_fallback_foreign: u64,
-    ff_fallback_fault: u64,
-    ff_fallback_delay: u64,
-    ff_fallback_switch: u64,
-    /// Replay events dispatched by attempts that then fell back.
-    ff_discarded_events: u64,
     /// FNV-1a of the episode report's JSON.
     report_fnv: u64,
     /// Both modes' reports serialize to exactly the same bytes (`false`
@@ -127,20 +107,13 @@ struct RunBench {
 
 impl RunBench {
     /// This run's counts in `COUNTERS` order.
-    fn counts(&self) -> [u64; 13] {
+    fn counts(&self) -> [u64; 6] {
         [
             self.events_per_iter,
             self.events_episode,
             self.episode_compute_events,
             self.episode_protocol_events,
             self.episode_heartbeat_events,
-            self.episodes_fast_forwarded,
-            self.episodes_fallback,
-            self.ff_fallback_foreign,
-            self.ff_fallback_fault,
-            self.ff_fallback_delay,
-            self.ff_fallback_switch,
-            self.ff_discarded_events,
             self.report_fnv,
         ]
     }
@@ -159,7 +132,7 @@ struct EngineBench {
 }
 
 /// `(kind.counter, value)` rows of every run kind, for [`check_pins`].
-fn rows<'a>(kinds: impl IntoIterator<Item = (&'a str, [u64; 13])>) -> Vec<(String, u64)> {
+fn rows<'a>(kinds: impl IntoIterator<Item = (&'a str, [u64; 6])>) -> Vec<(String, u64)> {
     kinds
         .into_iter()
         .flat_map(|(kind, counts)| counter_rows(&format!("{kind}."), &COUNTERS, &counts))
@@ -291,19 +264,6 @@ fn main() {
                 "{}={}c+{}p+{}h",
                 epi.events, epi.compute_events, epi.protocol_events, epi.heartbeat_events
             ),
-            format!(
-                "{}/{}",
-                epi.episodes_fast_forwarded,
-                epi.episodes_fast_forwarded + epi.episodes_fallback
-            ),
-            format!(
-                "{}f+{}F+{}d+{}s",
-                epi.ff_fallback_foreign,
-                epi.ff_fallback_fault,
-                epi.ff_fallback_delay,
-                epi.ff_fallback_switch
-            ),
-            format!("{}", epi.ff_discarded_events),
             if run_reference { "yes" } else { "-" }.to_string(),
         ]);
         runs.push(RunBench {
@@ -313,13 +273,6 @@ fn main() {
             episode_compute_events: epi.compute_events,
             episode_protocol_events: epi.protocol_events,
             episode_heartbeat_events: epi.heartbeat_events,
-            episodes_fast_forwarded: epi.episodes_fast_forwarded,
-            episodes_fallback: epi.episodes_fallback,
-            ff_fallback_foreign: epi.ff_fallback_foreign,
-            ff_fallback_fault: epi.ff_fallback_fault,
-            ff_fallback_delay: epi.ff_fallback_delay,
-            ff_fallback_switch: epi.ff_fallback_switch,
-            ff_discarded_events: epi.ff_discarded_events,
             report_fnv: fnv1a64(epi_json.as_bytes()),
             identical: run_reference,
         });
@@ -329,24 +282,8 @@ fn main() {
     println!(
         "{}",
         format_table(
-            &[
-                "run",
-                "ev ref",
-                "ev epi (c/p/h)",
-                "ff/eps",
-                "fb why",
-                "ev discarded",
-                "identical"
-            ],
-            &[
-                Align::Left,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-                Align::Right,
-            ],
+            &["run", "ev ref", "ev epi (c/p/h)", "identical"],
+            &[Align::Left, Align::Right, Align::Right, Align::Right],
             &rows_out
         )
     );

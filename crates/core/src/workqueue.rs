@@ -45,15 +45,6 @@ impl WorkQueue {
         self.blocks.iter()
     }
 
-    /// Overwrite `self` with a copy of `src`, reusing the existing
-    /// buffer — allocation-free once capacity suffices (the simulator's
-    /// episode fast-forward re-snapshots participant queues every
-    /// episode).
-    pub fn copy_from(&mut self, src: &Self) {
-        self.blocks.clear();
-        self.blocks.extend(src.blocks.iter().cloned());
-    }
-
     /// The front contiguous run — the iterations the owner will execute
     /// next, in order — without removing it. Because received work is
     /// appended at the back (and merged only when contiguous with the

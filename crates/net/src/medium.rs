@@ -32,11 +32,8 @@ pub struct Transmission {
 /// instant is unchanged.
 ///
 /// This is the **single** delay-inflation arithmetic of the simulator's
-/// send path, which the event loop and the episode fast-forward replay
-/// share, mirroring how [`MediumSim`]'s per-message step is the single
-/// contention core — both apply the exact same float ops in the
-/// same order, so a replayed delayed message cannot drift from the event
-/// loop's delivery time.
+/// send path, shared by its single sends and fan-outs, mirroring how
+/// [`MediumSim`]'s per-message step is the single contention core.
 pub fn stretch_delivery(now: f64, delivered: f64, factor: f64) -> f64 {
     now + (delivered - now) * factor
 }
@@ -101,12 +98,7 @@ fn step(
 /// each receiver CPU next come free. One private per-message FCFS step is
 /// the single implementation of the contention arithmetic:
 /// [`MediumSim::send_with_factors`] runs it for one message and
-/// [`MediumSim::fanout`] for each message of a one-sender broadcast. The
-/// simulator's episode fast-forward replays an episode on a copy of the
-/// live medium ([`MediumSim::copy_from`]) and adopts the copy only if the
-/// episode commits, so a replayed message schedule cannot drift from what
-/// the event loop would have computed — same type, same float ops, same
-/// order.
+/// [`MediumSim::fanout`] for each message of a one-sender broadcast.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MediumSim {
     params: NetworkParams,
@@ -140,16 +132,6 @@ impl MediumSim {
     /// The configured parameters.
     pub fn params(&self) -> &NetworkParams {
         &self.params
-    }
-
-    /// Make `self` a copy of `src`, reusing the existing allocations (the
-    /// episode fast-forward re-snapshots the live medium once per
-    /// episode).
-    pub fn copy_from(&mut self, src: &MediumSim) {
-        self.params = src.params;
-        self.bus_free_at = src.bus_free_at;
-        self.send_port_free.clone_from(&src.send_port_free);
-        self.recv_port_free.clone_from(&src.recv_port_free);
     }
 
     /// Schedule a message with unloaded endpoints.
@@ -444,35 +426,6 @@ mod tests {
             .collect()
     }
 
-    /// A replay on a copy of the medium must produce bit-identical
-    /// transmissions and leave the medium (after commit) in a
-    /// bit-identical state to the event-loop path, on both medium kinds.
-    #[test]
-    fn replay_on_a_copy_cannot_drift() {
-        for mk in [bus(5), switched(5)] {
-            let mut live = mk.clone();
-            let mut ff_base = mk.clone();
-            let msgs = trace(5, 200);
-            // Warm both media with a shared prefix so the snapshot is
-            // taken mid-stream, not at the zero state.
-            for &(f, t, b, now, fac) in &msgs[..50] {
-                let a = live.send_with_factors(f, t, b, now, fac);
-                let b2 = ff_base.send_with_factors(f, t, b, now, fac);
-                assert_eq!(a, b2);
-            }
-            let mut ep = MediumSim::new(*ff_base.params(), ff_base.nodes());
-            ep.copy_from(&ff_base);
-            for &(f, t, b, now, fac) in &msgs[50..] {
-                let a = live.send_with_factors(f, t, b, now, fac);
-                let r = ep.send_with_factors(f, t, b, now, fac);
-                assert_eq!(a.start.to_bits(), r.start.to_bits());
-                assert_eq!(a.delivered.to_bits(), r.delivered.to_bits());
-            }
-            ff_base.copy_from(&ep);
-            assert_eq!(live, ff_base);
-        }
-    }
-
     /// A fan-out's messages sent one [`MediumSim::send_with_factors`] at
     /// a time, as `(receiver, start bits, delivered bits)`.
     fn one_at_a_time(
@@ -518,8 +471,7 @@ mod tests {
 
     /// A fan-out is bit for bit the same messages scheduled one at a
     /// time, on both media, from a mid-stream state, with the sender in
-    /// its own receiver list and loaded endpoints — and so is its replay
-    /// on a copy of the medium, committed back to the medium.
+    /// its own receiver list and loaded endpoints.
     #[test]
     fn fanout_equals_one_schedule_per_receiver() {
         let receivers = [(0, 1.0), (2, 3.0), (5, 2.5), (1, 1.0), (3, 1.7), (4, 1.0)];
@@ -531,18 +483,10 @@ mod tests {
                 fan.send_with_factors(f, t, b, now, fac);
             }
             let now = 0.05;
-            let snapshot = fan.clone();
             let expected = one_at_a_time(&mut live, 2, 64, now, 2.0, &receivers);
             assert_eq!(expected.len(), 5, "the self-send is skipped");
             assert_eq!(fanned(&mut fan, 2, 64, now, 2.0, &receivers), expected);
             assert_eq!(live, fan);
-
-            let mut ep = MediumSim::new(*snapshot.params(), snapshot.nodes());
-            ep.copy_from(&snapshot);
-            assert_eq!(fanned(&mut ep, 2, 64, now, 2.0, &receivers), expected);
-            let mut committed = snapshot;
-            committed.copy_from(&ep);
-            assert_eq!(committed, live);
         }
     }
 
@@ -570,38 +514,9 @@ mod tests {
                 fan.send_with_factors(f, t, b, now, fac);
             }
             let now = warm.last().map_or(0.0, |w| w.3) + lead;
-            let snapshot = fan.clone();
             let expected = one_at_a_time(&mut live, from, bytes, now, send, &receivers);
-            prop_assert_eq!(fanned(&mut fan, from, bytes, now, send, &receivers), expected.clone());
+            prop_assert_eq!(fanned(&mut fan, from, bytes, now, send, &receivers), expected);
             prop_assert_eq!(&live, &fan);
-
-            let mut ep = MediumSim::new(*snapshot.params(), snapshot.nodes());
-            ep.copy_from(&snapshot);
-            prop_assert_eq!(fanned(&mut ep, from, bytes, now, send, &receivers), expected);
-            let mut committed = snapshot;
-            committed.copy_from(&ep);
-            prop_assert_eq!(committed, live);
         }
-    }
-
-    /// Dropping a replay copy (fallback path) leaves the medium
-    /// untouched, and the same copy can be re-anchored and reused.
-    #[test]
-    fn replay_abort_leaves_medium_untouched() {
-        let mut m = bus(3);
-        m.send(0, 1, 500, 0.0);
-        let before = m.clone();
-        let mut ep = MediumSim::new(*m.params(), m.nodes());
-        ep.copy_from(&m);
-        ep.send(1, 2, 800, 1.0);
-        ep.send(2, 0, 800, 2.0);
-        // No commit: the medium must be unchanged.
-        assert_eq!(m, before);
-        // Reuse after abort: the copy re-anchors cleanly.
-        ep.copy_from(&m);
-        assert_eq!(ep, m);
-        let live = m.send(1, 2, 64, 3.0);
-        let rep = ep.send(1, 2, 64, 3.0);
-        assert_eq!(live, rep);
     }
 }

@@ -12,10 +12,12 @@
 //!   test oracle). Interrupts, crashes and stalls that land mid-block
 //!   preempt *lazily*: the engine settles the completed prefix at the
 //!   stored boundary and reschedules the remainder.
-//! * **Episode fast-forward.** A sync episode whose window holds no
-//!   fault and no foreign event runs through the protocol handlers
-//!   below in a private replay (see `ff.rs` and the `Seam` trait) and
-//!   is committed as one `EpisodeDone` event.
+//! * **Analytic profile completion.** A profile arrival only stores the
+//!   profile and counts it; the balancer acts when the last one lands.
+//!   Without a fault plan a profile message therefore becomes no event:
+//!   it is stored and counted when sent, and only the delivery that
+//!   completes a balancer's set is pushed, at exactly the heap key its
+//!   `Deliver` event would have had (DESIGN.md §S13).
 //!
 //! The DLB protocol runs exactly as in Section 3:
 //!
@@ -60,7 +62,8 @@ use std::ops::Range;
 use std::sync::Arc;
 
 mod adaptive;
-mod ff;
+#[cfg(test)]
+mod completion_tests;
 
 /// Per-iteration work message header bytes (range descriptors etc.).
 const WORK_HEADER_BYTES: usize = 16;
@@ -230,17 +233,17 @@ pub enum EngineMode {
     /// liveness tick — the reference path the default mode is checked
     /// against byte-for-byte.
     PerIter,
-    /// Block stepping **plus** episode fast-forward: a sync episode whose
-    /// window contains no fault, no foreign event, and no work arrival
-    /// runs through the protocol handlers in a private replay — every
-    /// message through the exact [`MediumSim`] arithmetic on a copy of
-    /// the medium, in event order — and is settled in one step, emitting
-    /// a single `EpisodeDone` event instead of O(P)..O(P²) per-message
-    /// events.
-    /// Anything interfering aborts the replay and that one episode runs
-    /// per-message on the global heap, so reports stay byte-identical to
-    /// [`EngineMode::PerIter`]. Heartbeat sweeps are coalesced to
-    /// detection boundaries. The default.
+    /// Block stepping **plus** analytic profile completion: without a
+    /// fault plan a profile message is stored and counted at its
+    /// balancer when sent, and only the delivery that completes a
+    /// balancer's set becomes a heap event, keyed exactly as its
+    /// `Deliver` would have been — one event per balancer and episode
+    /// instead of O(P)..O(P²) per-message events. Every message still
+    /// crosses the [`MediumSim`] in event order, so reports stay
+    /// byte-identical to [`EngineMode::PerIter`]. Under a fault plan,
+    /// where a profile can be lost, duplicated or outlive its episode,
+    /// profiles are delivered per message. Heartbeat sweeps are
+    /// coalesced to detection boundaries. The default.
     #[default]
     Episode,
 }
@@ -248,7 +251,9 @@ pub enum EngineMode {
 /// Counters the bench harness reads alongside the report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCounters {
-    /// Total events pushed onto the heap over the run.
+    /// Total events pushed onto the heap over the run. A profile message
+    /// that does not complete its balancer's set reserves a sequence
+    /// number but is never pushed, so it is not counted.
     pub events: u64,
     /// Compute stepping events (`IterDone`/`BlockDone`/`SettleCheck`).
     pub compute_events: u64,
@@ -257,47 +262,22 @@ pub struct EngineCounters {
     /// Everything else: protocol messages, balancer calculations,
     /// watchdogs, crashes, periodic ticks, episode markers.
     pub protocol_events: u64,
-    /// Sync episodes settled by the fast-forward path (Episode mode).
+    /// Always 0. This and the five fields below counted the retired
+    /// episode fast-forward's commits and fallbacks; analytic profile
+    /// completion runs every episode on the event loop, so there is
+    /// nothing left to count. They stay only because the benchmark
+    /// harness reads them.
     pub episodes_fast_forwarded: u64,
-    /// Fast-forward attempts that aborted back to per-message replay.
-    /// Each is counted under exactly one reason below: the cause that
-    /// comes first in simulated time.
+    /// Always 0 (see `episodes_fast_forwarded`).
     pub episodes_fallback: u64,
-    /// Fallbacks caused by a foreign event in the episode window (a
-    /// non-participant delivery or block event, a pending calc, a
-    /// periodic tick), stale protocol state, or a replay deadlock.
+    /// Always 0 (see `episodes_fast_forwarded`).
     pub ff_fallback_foreign: u64,
-    /// Fallbacks caused by the fault plan: an undetected crash, a
-    /// replayed message the plan drops or cuts, fault machinery (crash,
-    /// recovery, heartbeat, live watchdog) pending in the window, or the
-    /// episode's own watchdog deadline inside it with no delay active.
+    /// Always 0 (see `episodes_fast_forwarded`).
     pub ff_fallback_fault: u64,
-    /// Fallbacks caused by delay inflation stretching the episode past
-    /// its watchdog timeout.
+    /// Always 0 (see `episodes_fast_forwarded`).
     pub ff_fallback_delay: u64,
-    /// Fallbacks forced after an adaptive strategy switch (§S17): the
-    /// first episode of each re-seeded group replays per-message.
+    /// Always 0 (see `episodes_fast_forwarded`).
     pub ff_fallback_switch: u64,
-    /// Replay events dispatched by fast-forward attempts that then fell
-    /// back: work the fast-forward did and threw away. A replay stops at
-    /// its foreign horizon, and an attempt whose horizon is at or before
-    /// the episode's start dispatches none.
-    pub ff_discarded_events: u64,
-}
-
-/// Why a fast-forward attempt fell back to the per-message path —
-/// feeds the per-reason [`EngineCounters`] fields.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum FallbackReason {
-    /// Foreign event, stale protocol state, or replay deadlock.
-    #[default]
-    Foreign,
-    /// Fault plan interference (undetected crash, drop, link cut,
-    /// fault machinery pending in the window, or the watchdog deadline
-    /// inside it).
-    Fault,
-    /// Delay inflation pushed the close past the watchdog timeout.
-    Delay,
 }
 
 /// A scheduled contiguous run of iterations (block stepping only).
@@ -312,10 +292,6 @@ struct BlockRun {
     /// schedule time, so any settle point is bit-identical to the
     /// per-iteration engine's `IterDone` time.
     boundaries: Vec<f64>,
-    /// Heap sequence number of the pending `BlockDone` for this run — the
-    /// episode fast-forward seeds its replay with the real event's
-    /// ordering key so exact-time ties resolve as the event loop would.
-    seq: u64,
     /// When the block was scheduled — the tie anchor for its first
     /// iteration's boundary (see [`block_done_tie`]).
     started: f64,
@@ -380,15 +356,19 @@ enum EvKind {
         group: usize,
         id: u64,
     },
-    /// Episode mode: marker popped at a fast-forwarded episode's close.
-    /// Deliberately a no-op — the episode's effects were committed when it
-    /// was pushed — but it keeps the settled window visible on the heap
-    /// (one event per episode instead of O(P²)).
-    EpisodeDone,
+    /// Analytic profile completion: the profile delivery that completes
+    /// balancer `at`'s set for `group`'s episode, at that delivery's own
+    /// heap key. Schedules the balancer's calculation.
+    ProfilesIn {
+        group: usize,
+        at: usize,
+    },
 }
 
-#[derive(Debug)]
-struct Ev {
+/// An event's place in the event loop's order: `(time, tie, pkey, seq)`,
+/// compared lexicographically.
+#[derive(Debug, Clone, Copy, Default)]
+struct Key {
     time: f64,
     /// Same-time tie-break: the simulation moment the event was (or, for
     /// block-stepped compute events, *would have been*) pushed. Within one
@@ -417,16 +397,42 @@ struct Ev {
     /// would diverge the whole run. Ordering colliding compute events by
     /// processor id is mode-independent.
     pkey: u32,
+    /// Push order. A profile message that never becomes an event still
+    /// draws the number its `Deliver` would have had (see
+    /// [`Engine::profile_key`]), so every other event keeps its order.
     seq: u64,
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+impl Eq for Key {}
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.time
+            .total_cmp(&other.time)
+            .then(self.tie.total_cmp(&other.tie))
+            .then(self.pkey.cmp(&other.pkey))
+            .then(self.seq.cmp(&other.seq))
+    }
+}
+
+#[derive(Debug)]
+struct Ev {
+    key: Key,
     kind: EvKind,
 }
 
 impl PartialEq for Ev {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time
-            && self.tie == other.tie
-            && self.pkey == other.pkey
-            && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl Eq for Ev {}
@@ -437,15 +443,11 @@ impl PartialOrd for Ev {
 }
 impl Ord for Ev {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.tie.total_cmp(&other.tie))
-            .then(self.pkey.cmp(&other.pkey))
-            .then(self.seq.cmp(&other.seq))
+        self.key.cmp(&other.key)
     }
 }
 
-/// The tie key of a block's pending `BlockDone` (see [`Ev::tie`]): the
+/// The tie key of a block's pending `BlockDone` (see [`Key::tie`]): the
 /// per-iteration engine pushes the final iteration's completion at that
 /// iteration's start — the penultimate boundary, or the moment the block
 /// was scheduled when it holds a single iteration.
@@ -456,7 +458,7 @@ fn block_done_tie(boundaries: &[f64], started: f64) -> f64 {
     }
 }
 
-/// Ordering component of compute events (see [`Ev::pkey`]).
+/// Ordering component of compute events (see [`Key::pkey`]).
 fn pkey_of(kind: &EvKind) -> u32 {
     match *kind {
         EvKind::IterDone { proc, .. }
@@ -472,119 +474,6 @@ enum Fate {
     Deliver(f64),
     /// Dropped or cut; counted, and its work (if any) logged as lost.
     Lost,
-    /// Dropped or cut inside a replay, which aborts on it.
-    Abandoned,
-}
-
-/// The seam between the Section-3 protocol handlers and what drives
-/// them (DESIGN.md §S13). Every handler that runs inside a sync episode
-/// — profile sending, the balancer calculations, acting on an outcome,
-/// resuming, block scheduling and settling, interrupt and work delivery,
-/// closing — has exactly one body, generic over this trait. The two
-/// implementations differ only in where events go, which medium a
-/// message crosses, and how profiles reach a balancer:
-///
-/// * [`Live`] — the global event heap, the shared [`MediumSim`], and the
-///   open [`Episode`]'s per-balancer profile maps;
-/// * `ff::Replay` — the fast-forward's private heap, a copy of the live
-///   [`MediumSim`], and analytic profile accounting (the k-th arrival is
-///   the latest delivery time).
-///
-/// Dispatch is static: the type parameter picks the implementation at
-/// compile time, so the live event loop pays nothing for the seam.
-trait Seam: Sized {
-    /// Queue `kind` at `time` with tie stamp `tie`; returns its sequence
-    /// number.
-    fn push(e: &mut Engine<'_>, time: f64, tie: f64, kind: EvKind) -> u64;
-    /// The medium messages cross: the engine's own or the fast-forward's
-    /// copy, borrowed apart from the rest of the engine.
-    fn net<'a>(medium: &'a mut MediumSim, ff: &'a mut ff::FfScratch) -> &'a mut MediumSim;
-    /// The fault plan drops or cuts a message. `true` tells the sender to
-    /// stop there (the replay aborts); `false` runs the loss accounting.
-    fn abandon_lost(e: &mut Engine<'_>) -> bool;
-    /// Hand a sent message to its receiver at `at`.
-    fn deliver(e: &mut Engine<'_>, at: f64, to: usize, payload: Payload);
-    /// Send `p` from `from` to every processor of `to` but `from` itself,
-    /// all at `now`: the one-to-many protocol sends — the interrupt
-    /// fan-out, the distributed profile broadcast and the central
-    /// instruction broadcast. Each message gets the bookkeeping
-    /// [`Engine::send_opts`] gives one message — stats, the fault plan's
-    /// [`Engine::fate`], and delivery — but the medium costs the whole
-    /// fan-out in one sweep ([`now_net::MediumSim::fanout`]), reading
-    /// each receiver's CPU factor as it goes. A lost message has still
-    /// occupied the medium. Only control messages fan out, so no lost
-    /// work is ever logged here.
-    fn fanout(e: &mut Engine<'_>, from: usize, to: &[usize], bytes: usize, now: f64, p: &Payload) {
-        e.fan_each::<Self>(from, to, bytes, now, p);
-    }
-    /// A profile lands at balancer `at` of group `g`.
-    fn record_profile(e: &mut Engine<'_>, g: usize, at: usize, profile: PerfProfile, now: f64);
-    /// Whether replicated balancer `at` holds a profile set for `g`'s
-    /// episode.
-    fn holds_profiles(e: &Engine<'_>, g: usize, at: usize) -> bool;
-    /// The profile set balancer `at` decides from, in processor order.
-    fn profiles(e: &Engine<'_>, g: usize, at: usize) -> Vec<PerfProfile>;
-    /// `g`'s episode is complete: every participant acted and no
-    /// shipment is outstanding.
-    fn close_episode(e: &mut Engine<'_>, g: usize, now: f64);
-    /// `proc`'s block was invalidated; its boundary buffer is free.
-    fn retire_block(e: &mut Engine<'_>, proc: usize, block: BlockRun);
-}
-
-/// The event loop's side of the [`Seam`].
-struct Live;
-
-impl Seam for Live {
-    fn push(e: &mut Engine<'_>, time: f64, tie: f64, kind: EvKind) -> u64 {
-        e.push_event_tied(time, tie, kind);
-        e.seq
-    }
-
-    fn net<'a>(medium: &'a mut MediumSim, _: &'a mut ff::FfScratch) -> &'a mut MediumSim {
-        medium
-    }
-
-    fn abandon_lost(_: &mut Engine<'_>) -> bool {
-        false
-    }
-
-    fn deliver(e: &mut Engine<'_>, at: f64, to: usize, payload: Payload) {
-        e.push_event(at, EvKind::Deliver { to, payload });
-    }
-
-    fn record_profile(e: &mut Engine<'_>, g: usize, at: usize, profile: PerfProfile, now: f64) {
-        match e.control() {
-            Control::Centralized => e.record_central_profile(g, profile, now),
-            Control::Distributed => e.record_local_profile(at, g, profile, now),
-        }
-    }
-
-    fn holds_profiles(e: &Engine<'_>, g: usize, at: usize) -> bool {
-        e.groups[g]
-            .episode
-            .as_ref()
-            .is_some_and(|ep| ep.local_profiles.contains_key(&at))
-    }
-
-    fn profiles(e: &Engine<'_>, g: usize, at: usize) -> Vec<PerfProfile> {
-        let ep = e.groups[g]
-            .episode
-            .as_ref()
-            .expect("profiles of an open episode");
-        match e.control() {
-            Control::Centralized => ep.central_profiles.values().copied().collect(),
-            Control::Distributed => ep.local_profiles[&at].values().copied().collect(),
-        }
-    }
-
-    fn close_episode(e: &mut Engine<'_>, g: usize, now: f64) {
-        e.groups[g].episode = None;
-        e.episode_boundary_tail(g, now);
-    }
-
-    fn retire_block(e: &mut Engine<'_>, _: usize, block: BlockRun) {
-        e.boundary_pool.push(block.boundaries);
-    }
 }
 
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -617,10 +506,19 @@ struct Episode {
     /// code, now a cheap `Arc` handle (`Arc::make_mut` on the rare
     /// membership-shrink path).
     participants: Arc<Vec<usize>>,
-    /// Profiles gathered at the central balancer.
-    central_profiles: BTreeMap<usize, PerfProfile>,
-    /// Per-member profile collections (distributed schemes).
+    /// Profiles gathered at the central balancer. With analytic profile
+    /// completion ([`Engine::analytic`]) also the one set every
+    /// replicated balancer of a distributed episode holds: each profile
+    /// reaches every participant there.
+    profiles: BTreeMap<usize, PerfProfile>,
+    /// Per-member profile collections (distributed schemes, profiles
+    /// delivered per message).
     local_profiles: BTreeMap<usize, BTreeMap<usize, PerfProfile>>,
+    /// Analytic profile completion: the key of the latest profile
+    /// delivery to the balancer that is still to complete its set — the
+    /// central balancer's, or, distributed, the delivery to the member
+    /// that profiles last. The protocol's own-profile case reads it.
+    last_profile: Option<Key>,
     /// What each member handed to the transport — the sender's copy,
     /// available for retransmission if the original is lost. Kept only
     /// under a fault plan, the only way a message is lost.
@@ -651,8 +549,9 @@ impl Episode {
             id,
             initiator,
             participants: Arc::new(participants),
-            central_profiles: BTreeMap::new(),
+            profiles: BTreeMap::new(),
             local_profiles: BTreeMap::new(),
+            last_profile: None,
             sent_profiles: BTreeMap::new(),
             acted: 0,
             awaiting: 0,
@@ -769,9 +668,10 @@ pub struct Engine<'w> {
     medium: MediumSim,
     events: BinaryHeap<Reverse<Ev>>,
     seq: u64,
-    /// Time of the event currently being processed — the default `tie`
-    /// stamp for every push (see [`Ev::tie`]). `0.0` before the loop runs.
-    ev_now: f64,
+    /// Key of the event currently being processed. Its time is the
+    /// default `tie` stamp for every push (see [`Key::tie`]); all zero
+    /// before the loop runs.
+    cur: Key,
     counters: EngineCounters,
 
     // --- execution mode ---
@@ -787,10 +687,12 @@ pub struct Engine<'w> {
     /// the next `schedule_block` instead of reallocated (episodes retire
     /// and reschedule every participant's block).
     boundary_pool: Vec<Vec<f64>>,
-    /// Pooled scratch state for the episode fast-forward (Episode mode).
-    ff: ff::FfScratch,
-    /// Pooled fan-out buffer: each message's receiver and delivery time,
-    /// or the balancers a replayed profile broadcast completed, and when.
+    /// Profile messages store and count their profile when sent, and
+    /// only a set's completing delivery is an event (see
+    /// [`EngineMode::Episode`]). Set when the run starts: Episode mode
+    /// without a fault plan.
+    analytic: bool,
+    /// Pooled fan-out buffer: each message's receiver and delivery time.
     fan_arrivals: Vec<(usize, f64)>,
 
     // --- coalesced heartbeats (Episode mode) ---
@@ -1008,13 +910,13 @@ impl<'w> Engine<'w> {
             medium,
             events: BinaryHeap::new(),
             seq: 0,
-            ev_now: 0.0,
+            cur: Key::default(),
             counters: EngineCounters::default(),
             mode: EngineMode::default(),
             blocks: (0..p).map(|_| None).collect(),
             block_epoch: vec![0; p],
             boundary_pool: Vec::new(),
-            ff: ff::FfScratch::default(),
+            analytic: false,
             fan_arrivals: Vec::new(),
             hb_ticks_counted: 0,
             hb_target: None,
@@ -1114,6 +1016,17 @@ impl<'w> Engine<'w> {
     /// Execute to completion; also return engine counters (heap event
     /// totals) for the bench harness.
     pub fn run_counted(mut self) -> (RunReport, EngineCounters) {
+        self.start();
+        while let Some(Reverse(ev)) = self.events.pop() {
+            self.cur = ev.key;
+            self.dispatch(ev);
+        }
+        self.finish()
+    }
+
+    /// Seed the heap: every processor's first compute event, the first
+    /// periodic tick, and the fault plan's events.
+    fn start(&mut self) {
         let p = self.cluster.processors();
         for proc in 0..p {
             if self.queues[proc].is_empty() {
@@ -1121,7 +1034,7 @@ impl<'w> Engine<'w> {
                 self.state[proc] = ProcState::Inactive;
                 self.set_active(proc, false);
             } else {
-                self.schedule_compute::<Live>(proc, 0.0);
+                self.schedule_compute(proc, 0.0);
             }
         }
         if let Some(dt) = self.periodic_interval {
@@ -1144,10 +1057,14 @@ impl<'w> Engine<'w> {
                 }
             }
         }
-        while let Some(Reverse(ev)) = self.events.pop() {
-            self.ev_now = ev.time;
-            self.dispatch::<Live>(ev);
-        }
+        // Fixed before the first event: `with_faults` and `with_mode` may
+        // come in either order.
+        self.analytic = self.mode == EngineMode::Episode && !self.fault_active;
+    }
+
+    /// Check the drained run and build its report.
+    fn finish(mut self) -> (RunReport, EngineCounters) {
+        let p = self.cluster.processors();
         // Hard invariant: the event queue drained, so every processor must
         // have finished — any residue means the protocol deadlocked. The
         // naive sum also cross-checks the incremental counter.
@@ -1197,24 +1114,33 @@ impl<'w> Engine<'w> {
             },
             adaptive,
         };
-        let mut counters = self.counters;
-        counters.events = self.seq;
-        (report, counters)
+        (report, self.counters)
     }
 
     // ------------------------------------------------------------------
     // event scheduling helpers
 
     fn push_event(&mut self, time: f64, kind: EvKind) {
-        let tie = self.ev_now;
+        let tie = self.cur.time;
         self.push_event_tied(time, tie, kind);
     }
 
-    /// Push with an explicit tie stamp (see [`Ev::tie`]) — used by block
+    /// Push with an explicit tie stamp (see [`Key::tie`]) — used by block
     /// stepping's compute events, whose per-iteration twins would have
     /// been pushed at a different (earlier or later) moment.
     fn push_event_tied(&mut self, time: f64, tie: f64, kind: EvKind) {
-        let pkey = pkey_of(&kind);
+        self.seq += 1;
+        let key = Key {
+            time,
+            tie,
+            pkey: pkey_of(&kind),
+            seq: self.seq,
+        };
+        self.push_keyed(key, kind);
+    }
+
+    /// Push `kind` at `key`, whose sequence number was drawn already.
+    fn push_keyed(&mut self, key: Key, kind: EvKind) {
         match kind {
             EvKind::IterDone { .. } | EvKind::BlockDone { .. } | EvKind::SettleCheck { .. } => {
                 self.counters.compute_events += 1
@@ -1222,35 +1148,20 @@ impl<'w> Engine<'w> {
             EvKind::Heartbeat => self.counters.heartbeat_events += 1,
             _ => self.counters.protocol_events += 1,
         }
-        self.seq += 1;
-        self.events.push(Reverse(Ev {
-            time,
-            tie,
-            pkey,
-            seq: self.seq,
-            kind,
-        }));
+        self.counters.events += 1;
+        self.events.push(Reverse(Ev { key, kind }));
     }
 
-    /// Queue `kind` through seam `M`, tie-stamped with the current event
-    /// time.
-    fn push<M: Seam>(&mut self, time: f64, kind: EvKind) -> u64 {
-        let tie = self.ev_now;
-        M::push(self, time, tie, kind)
-    }
-
-    /// Run one event's handler. The live loop feeds it the global heap;
-    /// the fast-forward feeds it its private heap, which only ever holds
-    /// compute and protocol events.
-    fn dispatch<M: Seam>(&mut self, ev: Ev) {
-        let now = ev.time;
+    /// Run one event's handler.
+    fn dispatch(&mut self, ev: Ev) {
+        let now = ev.key.time;
         match ev.kind {
             EvKind::IterDone { proc, iter, epoch } => self.on_iter_done(proc, iter, epoch, now),
-            EvKind::BlockDone { proc, epoch } => self.on_block_done::<M>(proc, epoch, now),
-            EvKind::SettleCheck { proc, epoch } => self.on_settle_check::<M>(proc, epoch, now),
-            EvKind::Deliver { to, payload } => self.on_deliver::<M>(to, payload, now),
-            EvKind::CalcCentral { group } => self.on_calc_central::<M>(group, now),
-            EvKind::CalcLocal { group, proc } => self.on_calc_local::<M>(group, proc, now),
+            EvKind::BlockDone { proc, epoch } => self.on_block_done(proc, epoch, now),
+            EvKind::SettleCheck { proc, epoch } => self.on_settle_check(proc, epoch, now),
+            EvKind::Deliver { to, payload } => self.on_deliver(to, payload, now),
+            EvKind::CalcCentral { group } => self.on_calc_central(group, now),
+            EvKind::CalcLocal { group, proc } => self.on_calc_local(group, proc, now),
             EvKind::PeriodicTick => self.on_periodic_tick(now),
             EvKind::Crash { proc } => self.on_crash(proc, now),
             EvKind::Recover { proc } => self.on_recover(proc, now),
@@ -1263,7 +1174,7 @@ impl<'w> Engine<'w> {
                 }
             }
             EvKind::Watchdog { group, id } => self.on_watchdog(group, id, now),
-            EvKind::EpisodeDone => {}
+            EvKind::ProfilesIn { group, at } => self.schedule_calc(group, at, now),
         }
     }
 
@@ -1308,15 +1219,15 @@ impl<'w> Engine<'w> {
             .control()
     }
 
-    fn send<M: Seam>(&mut self, from: usize, to: usize, bytes: usize, payload: Payload, now: f64) {
-        self.send_opts::<M>(from, to, bytes, payload, now, false);
+    fn send(&mut self, from: usize, to: usize, bytes: usize, payload: Payload, now: f64) {
+        self.send_opts(from, to, bytes, payload, now, false);
     }
 
     /// `exempt` marks the message as control-plane regardless of its
     /// payload kind: the rejoin re-expansion ships work outside any
     /// episode, so no watchdog covers it — it rides the reliable
     /// handshake channel instead (still costed, contended, delayable).
-    fn send_opts<M: Seam>(
+    fn send_opts(
         &mut self,
         from: usize,
         to: usize,
@@ -1329,7 +1240,8 @@ impl<'w> Engine<'w> {
             send: self.cpus.factor(&self.state, from, now),
             recv: self.cpus.factor(&self.state, to, now),
         };
-        let delivered = M::net(&mut self.medium, &mut self.ff)
+        let delivered = self
+            .medium
             .send_with_factors(from, to, bytes, now, factors)
             .delivered;
         match &payload {
@@ -1349,8 +1261,8 @@ impl<'w> Engine<'w> {
                 payload,
                 Payload::JoinRequest { .. } | Payload::JoinGrant { .. }
             );
-        match self.fate::<M>(from, to, now, delivered, !control_plane) {
-            Fate::Deliver(at) => M::deliver(self, at, to, payload),
+        match self.fate(from, to, now, delivered, !control_plane) {
+            Fate::Deliver(at) => self.deliver(at, to, payload),
             // The donor keeps its transfer log until the episode closes:
             // the sender's copy of lost work survives in the lost-work
             // log, so the watchdog/abort machinery recovers a cut link
@@ -1360,27 +1272,52 @@ impl<'w> Engine<'w> {
                     self.lost_work.push((to, group, ranges));
                 }
             }
-            Fate::Abandoned => {}
         }
     }
 
-    /// The fan-out body both seams share: one sweep over the receivers,
-    /// then each message's fate and delivery, in send order.
-    fn fan_each<M: Seam>(
-        &mut self,
-        from: usize,
-        to: &[usize],
-        bytes: usize,
-        now: f64,
-        payload: &Payload,
-    ) {
+    /// Hand a sent message to its receiver at `at`: a `Deliver` event,
+    /// except that on the analytic path a profile is stored and counted
+    /// at its central balancer now ([`Engine::store_profile`]).
+    fn deliver(&mut self, at: f64, to: usize, payload: Payload) {
+        match payload {
+            Payload::Profile { group, profile, .. } if self.analytic => {
+                debug_assert_eq!(self.control(), Control::Centralized);
+                let key = self.profile_key(at);
+                self.store_profile(group, to, profile, Some(key));
+            }
+            payload => self.push_event(at, EvKind::Deliver { to, payload }),
+        }
+    }
+
+    /// Send `p` from `from` to every processor of `to` but `from` itself,
+    /// all at `now`: the one-to-many protocol sends — the interrupt
+    /// fan-out, the distributed profile broadcast and the central
+    /// instruction broadcast. Each message gets the bookkeeping
+    /// [`Engine::send_opts`] gives one message — stats, the fault plan's
+    /// [`Engine::fate`], and delivery — but the medium costs the whole
+    /// fan-out in one sweep ([`now_net::MediumSim::fanout`]), reading
+    /// each receiver's CPU factor as it goes. A lost message has still
+    /// occupied the medium. Only control messages fan out, so no lost
+    /// work is ever logged here.
+    fn fanout(&mut self, from: usize, to: &[usize], bytes: usize, now: f64, p: &Payload) {
+        match *p {
+            Payload::Profile { group, .. } if self.analytic => {
+                self.broadcast_profile(group, from, to, bytes, now);
+            }
+            _ => self.fan_each(from, to, bytes, now, p),
+        }
+    }
+
+    /// The per-message fan-out: one sweep over the receivers, then each
+    /// message's fate and delivery, in send order.
+    fn fan_each(&mut self, from: usize, to: &[usize], bytes: usize, now: f64, payload: &Payload) {
         debug_assert!(matches!(
             payload,
             Payload::Interrupt { .. } | Payload::Profile { .. } | Payload::Instruction { .. }
         ));
         let mut sent = std::mem::take(&mut self.fan_arrivals);
         sent.clear();
-        M::net(&mut self.medium, &mut self.ff).fanout(
+        self.medium.fanout(
             from,
             bytes,
             now,
@@ -1391,17 +1328,14 @@ impl<'w> Engine<'w> {
         self.fan_sent(from, now, sent.len());
         for &(m, at) in &sent {
             let at = if self.fault_active {
-                match self.fate::<M>(from, m, now, at, true) {
+                match self.fate(from, m, now, at, true) {
                     Fate::Deliver(at) => at,
                     Fate::Lost => continue,
-                    // The replay aborted and is discarded with everything
-                    // delivered into it.
-                    Fate::Abandoned => break,
                 }
             } else {
                 at
             };
-            M::deliver(self, at, m, payload.clone());
+            self.deliver(at, m, payload.clone());
         }
         self.fan_arrivals = sent;
     }
@@ -1425,14 +1359,7 @@ impl<'w> Engine<'w> {
     /// runs the link-cut and loss checks (unless the message is
     /// control-plane, `exposed == false`) and the delay stretch, each
     /// with its counter. Single sends and fan-outs share this one body.
-    fn fate<M: Seam>(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: f64,
-        delivered: f64,
-        exposed: bool,
-    ) -> Fate {
+    fn fate(&mut self, from: usize, to: usize, now: f64, delivered: f64, exposed: bool) -> Fate {
         self.msg_seq += 1;
         if !self.fault_active {
             return Fate::Deliver(delivered);
@@ -1441,9 +1368,6 @@ impl<'w> Engine<'w> {
             // A partitioned link is a targeted loss.
             let cut = self.plan.link_cut(from, to, now);
             if cut || self.plan.drops_message(self.msg_seq) {
-                if M::abandon_lost(self) {
-                    return Fate::Abandoned;
-                }
                 if cut {
                     self.faults.messages_cut += 1;
                 } else {
@@ -1462,10 +1386,10 @@ impl<'w> Engine<'w> {
 
     /// Start `proc` computing at `now`: one event per iteration in
     /// per-iteration mode, one event per contiguous run otherwise.
-    fn schedule_compute<M: Seam>(&mut self, proc: usize, now: f64) {
+    fn schedule_compute(&mut self, proc: usize, now: f64) {
         match self.mode {
             EngineMode::PerIter => self.schedule_next_iter(proc, now),
-            EngineMode::Episode => self.schedule_block::<M>(proc, now),
+            EngineMode::Episode => self.schedule_block(proc, now),
         }
     }
 
@@ -1514,10 +1438,7 @@ impl<'w> Engine<'w> {
     /// completed prefix, so crashes and preemption see the same queue
     /// contents the per-iteration engine would.
     /// Compute the boundary chain for `proc` executing `run` from `now`
-    /// into `boundaries` (cleared first). This is the single
-    /// implementation of the per-iteration replay — `schedule_block` and
-    /// the episode fast-forward both call it, so a fast-forwarded block
-    /// cannot drift from the event-loop path.
+    /// into `boundaries` (cleared first).
     fn block_boundaries(&self, proc: usize, now: f64, run: &Range<u64>, boundaries: &mut Vec<f64>) {
         boundaries.clear();
         boundaries.reserve((run.end - run.start) as usize);
@@ -1551,7 +1472,7 @@ impl<'w> Engine<'w> {
         self.boundary_pool.pop().unwrap_or_default()
     }
 
-    fn schedule_block<M: Seam>(&mut self, proc: usize, now: f64) {
+    fn schedule_block(&mut self, proc: usize, now: f64) {
         let run = self.queues[proc]
             .front_run()
             .expect("schedule_block requires a non-empty queue");
@@ -1561,12 +1482,11 @@ impl<'w> Engine<'w> {
         self.state[proc] = ProcState::Computing;
         let epoch = self.block_epoch[proc];
         let tie = block_done_tie(&boundaries, now);
-        let seq = M::push(self, done_at, tie, EvKind::BlockDone { proc, epoch });
+        self.push_event_tied(done_at, tie, EvKind::BlockDone { proc, epoch });
         self.blocks[proc] = Some(BlockRun {
             first: run.start,
             done: 0,
             boundaries,
-            seq,
             started: now,
         });
     }
@@ -1611,11 +1531,11 @@ impl<'w> Engine<'w> {
             .done = upto;
     }
 
-    /// Retire `proc`'s block (see [`Seam::retire_block`]) and stamp any
-    /// still-queued events for it stale.
-    fn invalidate_block<M: Seam>(&mut self, proc: usize) {
+    /// Retire `proc`'s block, recycling its boundary buffer, and stamp
+    /// any still-queued events for it stale.
+    fn invalidate_block(&mut self, proc: usize) {
         if let Some(b) = self.blocks[proc].take() {
-            M::retire_block(self, proc, b);
+            self.boundary_pool.push(b.boundaries);
         }
         self.block_epoch[proc] += 1;
     }
@@ -1624,19 +1544,19 @@ impl<'w> Engine<'w> {
     /// next `IterDone`; under block stepping that boundary has no event, so
     /// synthesize a `SettleCheck` at the first stored boundary past `now`
     /// (if none remains, the pending `BlockDone` at `now` reacts itself).
-    fn flag_interrupt<M: Seam>(&mut self, proc: usize, now: f64) {
+    fn flag_interrupt(&mut self, proc: usize, now: f64) {
         if self.interrupted[proc] {
             return;
         }
         self.interrupted[proc] = true;
         if self.mode == EngineMode::Episode {
-            self.aim_settle_check::<M>(proc, now);
+            self.aim_settle_check(proc, now);
         }
     }
 
     /// Push a `SettleCheck` at the first boundary of `proc`'s block past
     /// `now`, if one remains.
-    fn aim_settle_check<M: Seam>(&mut self, proc: usize, now: f64) {
+    fn aim_settle_check(&mut self, proc: usize, now: f64) {
         let Some(b) = self.blocks[proc].as_ref() else {
             return;
         };
@@ -1652,7 +1572,7 @@ impl<'w> Engine<'w> {
             b.boundaries[i - 1]
         };
         let epoch = self.block_epoch[proc];
-        M::push(self, at, tie, EvKind::SettleCheck { proc, epoch });
+        self.push_event_tied(at, tie, EvKind::SettleCheck { proc, epoch });
     }
 
     /// Whether `proc`'s group has an open episode still waiting for
@@ -1667,7 +1587,7 @@ impl<'w> Engine<'w> {
 
     /// The whole block completed: settle everything, then run the same
     /// boundary logic `on_iter_done` runs after a final iteration.
-    fn on_block_done<M: Seam>(&mut self, proc: usize, epoch: u64, now: f64) {
+    fn on_block_done(&mut self, proc: usize, epoch: u64, now: f64) {
         if epoch != self.block_epoch[proc] || self.membership.is_dead(proc) {
             return; // preempted or crashed since scheduling
         }
@@ -1677,24 +1597,24 @@ impl<'w> Engine<'w> {
             .boundaries
             .len() as u64;
         self.settle_block_to(proc, len);
-        self.invalidate_block::<M>(proc);
-        self.at_boundary::<M>(proc, now);
+        self.invalidate_block(proc);
+        self.at_boundary(proc, now);
     }
 
     /// `proc` finished its scheduled work: serve a pending interrupt at
     /// this iteration boundary, then compute on or run dry.
-    fn at_boundary<M: Seam>(&mut self, proc: usize, now: f64) {
+    fn at_boundary(&mut self, proc: usize, now: f64) {
         if self.interrupted[proc] {
             self.interrupted[proc] = false;
             if self.awaits_profile(proc) {
-                self.send_profile::<M>(proc, now);
+                self.send_profile(proc, now);
                 return;
             }
         }
         if self.queues[proc].is_empty() {
-            self.on_out_of_work::<M>(proc, now);
+            self.on_out_of_work(proc, now);
         } else {
-            self.schedule_compute::<M>(proc, now);
+            self.schedule_compute(proc, now);
         }
     }
 
@@ -1702,7 +1622,7 @@ impl<'w> Engine<'w> {
     /// the completed prefix and react exactly as `on_iter_done` would —
     /// profile if the episode still wants us, otherwise clear the stale
     /// flag and let the block run on.
-    fn on_settle_check<M: Seam>(&mut self, proc: usize, epoch: u64, now: f64) {
+    fn on_settle_check(&mut self, proc: usize, epoch: u64, now: f64) {
         if epoch != self.block_epoch[proc]
             || self.membership.is_dead(proc)
             || !self.interrupted[proc]
@@ -1719,8 +1639,8 @@ impl<'w> Engine<'w> {
         self.settle_block_to(proc, upto);
         self.interrupted[proc] = false;
         if self.awaits_profile(proc) {
-            self.invalidate_block::<M>(proc);
-            self.send_profile::<M>(proc, now);
+            self.invalidate_block(proc);
+            self.send_profile(proc, now);
         }
         // Stale flag: keep computing — the BlockDone is still scheduled.
     }
@@ -1751,10 +1671,10 @@ impl<'w> Engine<'w> {
         self.executed.add(iter);
         self.work_done[proc] += self.workload.iter_cost(iter);
         self.finished_at[proc] = now;
-        self.at_boundary::<Live>(proc, now);
+        self.at_boundary(proc, now);
     }
 
-    fn on_out_of_work<M: Seam>(&mut self, proc: usize, now: f64) {
+    fn on_out_of_work(&mut self, proc: usize, now: f64) {
         if self.cfg.is_none() {
             self.deactivate(proc, now);
             return;
@@ -1764,7 +1684,7 @@ impl<'w> Engine<'w> {
             let participant = episode.participants.binary_search(&proc).is_ok();
             if participant && self.profiled_in[proc] != episode.id {
                 // Ran dry before the interrupt arrived: profile proactively.
-                self.send_profile::<M>(proc, now);
+                self.send_profile(proc, now);
             } else {
                 // Already served by this episode (resumed, then drained
                 // while the episode is still closing), or never part of it
@@ -1787,7 +1707,7 @@ impl<'w> Engine<'w> {
             self.deactivate(proc, now);
             return;
         }
-        self.start_episode(g, proc, peers, now);
+        self.start_episode(g, proc, &peers, now);
     }
 
     fn deactivate(&mut self, proc: usize, now: f64) {
@@ -1823,16 +1743,9 @@ impl<'w> Engine<'w> {
                 group: g,
                 epoch: self.membership_epoch,
             };
-            Live::fanout(
-                self,
-                initiator,
-                &actives[1..],
-                INTERRUPT_BYTES,
-                now,
-                &interrupt,
-            );
+            self.fanout(initiator, &actives[1..], INTERRUPT_BYTES, now, &interrupt);
             // The initiator itself reacts at its next iteration boundary.
-            self.flag_interrupt::<Live>(initiator, now);
+            self.flag_interrupt(initiator, now);
         }
         if self.active_count >= 2 {
             let dt = self
@@ -1842,13 +1755,17 @@ impl<'w> Engine<'w> {
         }
     }
 
-    fn start_episode(&mut self, g: usize, initiator: usize, peers: Vec<usize>, now: f64) {
-        if self.mode == EngineMode::Episode && self.try_fast_forward(g, initiator, &peers, now) {
-            return;
-        }
-        self.open_episode(g, initiator, &peers);
+    /// The initiator's opening move: open the episode, interrupt the
+    /// other active members, then contribute its own profile.
+    fn start_episode(&mut self, g: usize, initiator: usize, peers: &[usize], now: f64) {
+        self.open_episode(g, initiator, peers);
         self.arm_watchdog(g, now);
-        self.interrupt_and_profile::<Live>(g, initiator, &peers, now);
+        let interrupt = Payload::Interrupt {
+            group: g,
+            epoch: self.membership_epoch,
+        };
+        self.fanout(initiator, peers, INTERRUPT_BYTES, now, &interrupt);
+        self.send_profile(initiator, now);
     }
 
     /// Open a fresh episode for group `g` over `initiator` and `peers`.
@@ -1859,23 +1776,6 @@ impl<'w> Engine<'w> {
         self.episode_seq += 1;
         self.groups[g].episode = Some(Episode::new(self.episode_seq, initiator, participants));
         self.stats.syncs += 1;
-    }
-
-    /// The initiator's opening move: interrupt the other active members,
-    /// then contribute its own profile.
-    fn interrupt_and_profile<M: Seam>(
-        &mut self,
-        g: usize,
-        initiator: usize,
-        peers: &[usize],
-        now: f64,
-    ) {
-        let interrupt = Payload::Interrupt {
-            group: g,
-            epoch: self.membership_epoch,
-        };
-        M::fanout(self, initiator, peers, INTERRUPT_BYTES, now, &interrupt);
-        self.send_profile::<M>(initiator, now);
     }
 
     /// Schedule the episode watchdog (failure handling only — a run
@@ -1904,7 +1804,7 @@ impl<'w> Engine<'w> {
         }
     }
 
-    fn send_profile<M: Seam>(&mut self, proc: usize, now: f64) {
+    fn send_profile(&mut self, proc: usize, now: f64) {
         let g = self.proc_group[proc];
         let profile = self.make_profile(proc, now);
         self.state[proc] = ProcState::WaitOutcome;
@@ -1928,25 +1828,140 @@ impl<'w> Engine<'w> {
             Control::Centralized => {
                 let master = self.balancer_host(g);
                 if proc == master {
-                    M::record_profile(self, g, master, profile, now);
+                    self.record_profile(g, master, profile, now);
                 } else {
-                    self.send::<M>(proc, master, PerfProfile::WIRE_BYTES, payload, now);
+                    self.send(proc, master, PerfProfile::WIRE_BYTES, payload, now);
                 }
             }
             Control::Distributed => {
                 let participants = Arc::clone(&episode.participants);
                 // Record locally first…
-                M::record_profile(self, g, proc, profile, now);
+                self.record_profile(g, proc, profile, now);
                 // …then broadcast to the other participants.
-                M::fanout(
-                    self,
-                    proc,
-                    &participants,
-                    PerfProfile::WIRE_BYTES,
-                    now,
-                    &payload,
-                );
+                self.fanout(proc, &participants, PerfProfile::WIRE_BYTES, now, &payload);
             }
+        }
+    }
+
+    /// A profile lands at balancer `at` of group `g`: delivered per
+    /// message, or the balancer's own. On the analytic path only a
+    /// balancer's own profile comes here.
+    fn record_profile(&mut self, g: usize, at: usize, profile: PerfProfile, now: f64) {
+        if self.analytic {
+            return self.store_profile(g, at, profile, None);
+        }
+        match self.control() {
+            Control::Centralized => self.record_central_profile(g, profile, now),
+            Control::Distributed => self.record_local_profile(at, g, profile, now),
+        }
+    }
+
+    /// Analytic path: the key the `Deliver` event of a profile message
+    /// sent now and due at `at` would have had. It draws that event's
+    /// sequence number, so every later push keeps its place.
+    fn profile_key(&mut self, at: f64) -> Key {
+        self.seq += 1;
+        Key {
+            time: at,
+            tie: self.cur.time,
+            pkey: u32::MAX,
+            seq: self.seq,
+        }
+    }
+
+    /// Analytic path: store and count `profile` at balancer `at` of group
+    /// `g` — carried by a message to the central balancer whose delivery
+    /// is keyed `delivery`, or the balancer's own (`None`). A receiver's
+    /// CPU serves its messages first come, first served, so deliveries to
+    /// one processor land in send order, and the latest profile delivery
+    /// is the last one sent. When the set is complete, the per-message
+    /// engine schedules the calculation when that delivery is dispatched,
+    /// or now if it already was: if its key sorts before the current
+    /// event's (always so for a message sent now).
+    fn store_profile(&mut self, g: usize, at: usize, profile: PerfProfile, delivery: Option<Key>) {
+        let ep = self.groups[g]
+            .episode
+            .as_mut()
+            .expect("no episode for profile");
+        ep.profiles.insert(profile.proc, profile);
+        if delivery.is_some() {
+            ep.last_profile = delivery;
+        }
+        if ep.profiles.len() < ep.participants.len() {
+            return;
+        }
+        match ep.last_profile.filter(|&key| key > self.cur) {
+            Some(key) => self.push_keyed(key, EvKind::ProfilesIn { group: g, at }),
+            None => self.schedule_calc(g, at, self.cur.time),
+        }
+    }
+
+    /// Analytic path, distributed: `from`'s profile broadcast to the
+    /// other participants `to` of group `g`'s episode, its own profile
+    /// already stored. Without a fault plan every broadcast reaches every
+    /// other participant, so a member's set completes only by the
+    /// episode's last broadcast, or at the last member's own record. The
+    /// sweep therefore counts broadcasts, not messages: in the last
+    /// broadcast each message completes its receiver's set, and the one
+    /// before it holds the latest delivery to the member still to
+    /// profile ([`Engine::store_profile`]). Deliveries to one processor
+    /// land in send order, so no earlier message is later.
+    fn broadcast_profile(&mut self, g: usize, from: usize, to: &[usize], bytes: usize, now: f64) {
+        let ep = self.groups[g]
+            .episode
+            .as_ref()
+            .expect("no episode for profile");
+        let (id, missing) = (ep.id, ep.participants.len() - ep.profiles.len());
+        // The messages draw `base + 1..` in send order, as their `Deliver`
+        // events would.
+        let (base, tie) = (self.seq, self.cur.time);
+        let key = |n: u64, time: f64| Key {
+            time,
+            tie,
+            pkey: u32::MAX,
+            seq: base + n,
+        };
+        let mut completed = std::mem::take(&mut self.fan_arrivals);
+        completed.clear();
+        let mut n = 0;
+        let mut last = None;
+        let profiled_in = &self.profiled_in;
+        self.medium.fanout(
+            from,
+            bytes,
+            now,
+            self.cpus.factor(&self.state, from, now),
+            self.cpus.receivers(&self.state, from, to, now),
+            |m, tx| {
+                n += 1;
+                match missing {
+                    0 => completed.push((m, tx.delivered)),
+                    1 if profiled_in[m] != id => last = Some(key(n, tx.delivered)),
+                    _ => {}
+                }
+            },
+        );
+        self.fan_sent(from, now, n as usize);
+        self.seq += n;
+        if last.is_some() {
+            self.groups[g]
+                .episode
+                .as_mut()
+                .expect("episode checked above")
+                .last_profile = last;
+        }
+        for (i, &(at, time)) in (1..).zip(&completed) {
+            self.push_keyed(key(i, time), EvKind::ProfilesIn { group: g, at });
+        }
+        self.fan_arrivals = completed;
+    }
+
+    /// Schedule balancer `at`'s calculation for group `g`, its profile
+    /// set complete at `now`.
+    fn schedule_calc(&mut self, g: usize, at: usize, now: f64) {
+        match self.control() {
+            Control::Centralized => self.schedule_central_calc(g, now),
+            Control::Distributed => self.schedule_local_calc(g, at, now),
         }
     }
 
@@ -1955,7 +1970,7 @@ impl<'w> Engine<'w> {
             .episode
             .as_mut()
             .expect("no episode for profile");
-        episode.central_profiles.insert(profile.proc, profile);
+        episode.profiles.insert(profile.proc, profile);
         self.try_calc_central(g, now);
     }
 
@@ -1968,12 +1983,12 @@ impl<'w> Engine<'w> {
         };
         if episode.calc_central_scheduled
             || episode.participants.is_empty()
-            || episode.central_profiles.len() < episode.participants.len()
+            || episode.profiles.len() < episode.participants.len()
         {
             return;
         }
         episode.calc_central_scheduled = true;
-        self.schedule_central_calc::<Live>(g, now);
+        self.schedule_central_calc(g, now);
     }
 
     /// The central calculation for group `g`, its profile set complete at
@@ -1981,14 +1996,14 @@ impl<'w> Engine<'w> {
     /// is the paper's LCDLB delay factor — global with one flat role,
     /// per-domain under a §S16 hierarchy. The calculation runs on the
     /// (possibly loaded, possibly still computing) host CPU.
-    fn schedule_central_calc<M: Seam>(&mut self, g: usize, now: f64) {
+    fn schedule_central_calc(&mut self, g: usize, now: f64) {
         let cfg = *self.cfg.as_ref().expect("centralized profile under DLB");
         let role = self.role_of_group[g];
         let host = self.balancer_host(g);
         let start = now.max(self.role_busy[role]);
         let done = start + cfg.calc_cost * self.cpus.factor(&self.state, host, now);
         self.role_busy[role] = done;
-        self.push::<M>(done, EvKind::CalcCentral { group: g });
+        self.push_event(done, EvKind::CalcCentral { group: g });
     }
 
     fn record_local_profile(&mut self, at: usize, g: usize, profile: PerfProfile, now: f64) {
@@ -2018,14 +2033,14 @@ impl<'w> Engine<'w> {
             return;
         }
         episode.calc_scheduled.insert(at);
-        self.schedule_local_calc::<Live>(g, at, now);
+        self.schedule_local_calc(g, at, now);
     }
 
     /// Member `at`'s replicated calculation, on its own (loaded) CPU.
-    fn schedule_local_calc<M: Seam>(&mut self, g: usize, at: usize, now: f64) {
+    fn schedule_local_calc(&mut self, g: usize, at: usize, now: f64) {
         let cfg = *self.cfg.as_ref().expect("distributed profile under DLB");
         let done = now + cfg.calc_cost * self.cpus.factor(&self.state, at, now);
-        self.push::<M>(done, EvKind::CalcLocal { group: g, proc: at });
+        self.push_event(done, EvKind::CalcLocal { group: g, proc: at });
     }
 
     fn decide(&mut self, profiles: &[PerfProfile]) -> BalanceOutcome {
@@ -2040,8 +2055,19 @@ impl<'w> Engine<'w> {
     /// Compute `g`'s outcome from balancer `at`'s profile set, account it
     /// once per episode, and keep it for retransmission and for the other
     /// replicated balancers.
-    fn decide_episode<M: Seam>(&mut self, g: usize, at: usize, now: f64) -> Arc<Plan> {
-        let profiles = M::profiles(self, g, at);
+    fn decide_episode(&mut self, g: usize, at: usize, now: f64) -> Arc<Plan> {
+        let profiles: Vec<PerfProfile> = {
+            let ep = self.groups[g]
+                .episode
+                .as_ref()
+                .expect("profiles of an open episode");
+            match self.control() {
+                Control::Distributed if !self.analytic => {
+                    ep.local_profiles[&at].values().copied().collect()
+                }
+                _ => ep.profiles.values().copied().collect(),
+            }
+        };
         let outcome = Arc::new(Plan::new(self.decide(&profiles)));
         let episode = self.groups[g].episode.as_mut().expect("episode must exist");
         episode.outcome = Some(Arc::clone(&outcome));
@@ -2056,7 +2082,7 @@ impl<'w> Engine<'w> {
         outcome
     }
 
-    fn on_calc_central<M: Seam>(&mut self, g: usize, now: f64) {
+    fn on_calc_central(&mut self, g: usize, now: f64) {
         // The episode may have been aborted, the balancer host may have
         // died, or a §S17 switch may have dropped the group index,
         // between scheduling and firing.
@@ -2067,7 +2093,7 @@ impl<'w> Engine<'w> {
         if episode.outcome.is_some() || self.membership.is_dead(master) {
             return;
         }
-        let outcome = self.decide_episode::<M>(g, master, now);
+        let outcome = self.decide_episode(g, master, now);
         let (participants, episode_id) = {
             let episode = self.groups[g]
                 .episode
@@ -2085,27 +2111,21 @@ impl<'w> Engine<'w> {
             epoch: self.membership_epoch,
             episode: episode_id,
         };
-        M::fanout(
-            self,
-            master,
-            &participants,
-            INSTRUCTION_BYTES,
-            now,
-            &instruction,
-        );
+        self.fanout(master, &participants, INSTRUCTION_BYTES, now, &instruction);
         if participants.binary_search(&master).is_ok() {
-            self.act_on_outcome::<M>(master, g, &outcome, now);
+            self.act_on_outcome(master, g, &outcome, now);
         }
     }
 
-    fn on_calc_local<M: Seam>(&mut self, g: usize, proc: usize, now: f64) {
+    fn on_calc_local(&mut self, g: usize, proc: usize, now: f64) {
         // Aborted episode, a balancer replica that died since
         // scheduling, or a group index dropped by a §S17 switch:
         // nothing to do.
         let Some(episode) = self.groups.get(g).and_then(|gc| gc.episode.as_ref()) else {
             return;
         };
-        if self.membership.is_dead(proc) || !M::holds_profiles(self, g, proc) {
+        let holds_set = self.analytic || episode.local_profiles.contains_key(&proc);
+        if self.membership.is_dead(proc) || !holds_set {
             return;
         }
         // Every member computes the same deterministic outcome in parallel:
@@ -2114,12 +2134,12 @@ impl<'w> Engine<'w> {
         // member (the CalcLocal event) but run the arithmetic once.
         let outcome = match episode.outcome.as_ref() {
             Some(out) => Arc::clone(out),
-            None => self.decide_episode::<M>(g, proc, now),
+            None => self.decide_episode(g, proc, now),
         };
-        self.act_on_outcome::<M>(proc, g, &outcome, now);
+        self.act_on_outcome(proc, g, &outcome, now);
     }
 
-    fn act_on_outcome<M: Seam>(&mut self, m: usize, g: usize, outcome: &Plan, now: f64) {
+    fn act_on_outcome(&mut self, m: usize, g: usize, outcome: &Plan, now: f64) {
         {
             let episode = self.groups[g]
                 .episode
@@ -2147,7 +2167,7 @@ impl<'w> Engine<'w> {
                 "donor {m} cannot cover the planned transfer"
             );
             let bytes = WORK_HEADER_BYTES + (t.iters * self.bytes_per_iter) as usize;
-            self.send::<M>(m, t.to, bytes, Payload::Work { group: g, ranges }, now);
+            self.send(m, t.to, bytes, Payload::Work { group: g, ranges }, now);
         }
 
         // Wait for what we are owed, crediting any shipments that raced
@@ -2173,9 +2193,9 @@ impl<'w> Engine<'w> {
                 episode.awaiting += 1;
             }
         } else {
-            self.resume::<M>(m, now);
+            self.resume(m, now);
         }
-        self.maybe_close_episode::<M>(g, now);
+        self.maybe_close_episode(g, now);
     }
 
     /// `m` is no longer owed shipments in group `g`'s open episode.
@@ -2190,7 +2210,7 @@ impl<'w> Engine<'w> {
         }
     }
 
-    fn resume<M: Seam>(&mut self, m: usize, now: f64) {
+    fn resume(&mut self, m: usize, now: f64) {
         self.window_start[m] = now;
         self.window_iters[m] = 0;
         if self.queues[m].is_empty() {
@@ -2198,11 +2218,11 @@ impl<'w> Engine<'w> {
             // computation (Section 5.2).
             self.deactivate(m, now);
         } else {
-            self.schedule_compute::<M>(m, now);
+            self.schedule_compute(m, now);
         }
     }
 
-    fn maybe_close_episode<M: Seam>(&mut self, g: usize, now: f64) {
+    fn maybe_close_episode(&mut self, g: usize, now: f64) {
         // `get`: reachable with a group index a §S17 switch dropped (via
         // the Work delivery path); no group, no episode.
         let done = self
@@ -2211,7 +2231,8 @@ impl<'w> Engine<'w> {
             .and_then(|gc| gc.episode.as_ref())
             .is_some_and(|e| e.acted == e.participants.len() && e.awaiting == 0);
         if done {
-            M::close_episode(self, g, now);
+            self.groups[g].episode = None;
+            self.episode_boundary_tail(g, now);
         }
     }
 
@@ -2262,7 +2283,7 @@ impl<'w> Engine<'w> {
                 "crash must preempt the next queued iteration"
             );
             self.queues[proc].push_back(got..got + 1);
-            self.invalidate_block::<Live>(proc);
+            self.invalidate_block(proc);
         }
         self.set_active(proc, false);
         self.state[proc] = ProcState::Inactive;
@@ -2457,7 +2478,7 @@ impl<'w> Engine<'w> {
                 for gg in tree.leaf_range(1, r) {
                     if let Some(e) = self.groups[gg].episode.as_mut() {
                         if e.outcome.is_none() {
-                            e.central_profiles.clear();
+                            e.profiles.clear();
                             e.calc_central_scheduled = false;
                         }
                     }
@@ -2470,7 +2491,7 @@ impl<'w> Engine<'w> {
             for gg in 0..self.groups.len() {
                 if let Some(e) = self.groups[gg].episode.as_mut() {
                     if e.outcome.is_none() {
-                        e.central_profiles.clear();
+                        e.profiles.clear();
                         e.calc_central_scheduled = false;
                     }
                 }
@@ -2559,7 +2580,7 @@ impl<'w> Engine<'w> {
             for r in part {
                 self.queues[m].push_back(r);
             }
-            self.wake_if_idle::<Live>(m, now);
+            self.wake_if_idle(m, now);
         }
     }
 
@@ -2572,14 +2593,14 @@ impl<'w> Engine<'w> {
 
     /// A processor that had left the computation (or was queued to start
     /// an episode) re-enters it to execute newly assigned work.
-    fn wake_if_idle<M: Seam>(&mut self, m: usize, now: f64) {
+    fn wake_if_idle(&mut self, m: usize, now: f64) {
         match self.state[m] {
             ProcState::Inactive | ProcState::IdlePending => {
                 self.groups[self.proc_group[m]]
                     .pending_initiators
                     .remove(&m);
                 self.set_active(m, true);
-                self.resume::<M>(m, now);
+                self.resume(m, now);
             }
             // Computing continues; WaitOutcome/WaitWork pick the new
             // work up when their episode resolves.
@@ -2652,13 +2673,10 @@ impl<'w> Engine<'w> {
                 block_done_tie(&b.boundaries, b.started)
             };
             self.push_event_tied(at, tie, EvKind::BlockDone { proc: m, epoch });
-            // Keep the stored ordering key current: the fast-forward
-            // seeds its replay from it.
-            self.blocks[m].as_mut().expect("block checked above").seq = self.seq;
             if self.interrupted[m] {
                 // The settle point the pending interrupt was waiting on
                 // went stale with the old epoch; re-aim it.
-                self.aim_settle_check::<Live>(m, now);
+                self.aim_settle_check(m, now);
             }
         }
         ranges
@@ -2709,7 +2727,7 @@ impl<'w> Engine<'w> {
                 self.set_active(proc, true);
                 self.window_start[proc] = now;
                 self.window_iters[proc] = 0;
-                self.schedule_compute::<Live>(proc, now);
+                self.schedule_compute(proc, now);
             }
             return;
         }
@@ -2719,7 +2737,7 @@ impl<'w> Engine<'w> {
             // Sole survivor scenarios: the comeback *is* the coordinator.
             self.request_admission(proc, now);
         } else {
-            self.send::<Live>(proc, host, JOIN_BYTES, Payload::JoinRequest { proc }, now);
+            self.send(proc, host, JOIN_BYTES, Payload::JoinRequest { proc }, now);
             self.push_event(
                 now + self.policy.heartbeat_interval,
                 EvKind::JoinRetry { proc },
@@ -2739,7 +2757,7 @@ impl<'w> Engine<'w> {
             self.request_admission(proc, now);
             return;
         }
-        self.send::<Live>(proc, host, JOIN_BYTES, Payload::JoinRequest { proc }, now);
+        self.send(proc, host, JOIN_BYTES, Payload::JoinRequest { proc }, now);
         if self.total_iters_done < self.workload.iterations() {
             self.push_event(
                 now + self.policy.heartbeat_interval,
@@ -2839,7 +2857,7 @@ impl<'w> Engine<'w> {
             let bytes = WORK_HEADER_BYTES + (ranges_len(&ranges) * self.bytes_per_iter) as usize;
             // Exempt from loss/cuts: this shipment happens between
             // episodes, where no watchdog would ever retransmit it.
-            self.send_opts::<Live>(
+            self.send_opts(
                 from,
                 q,
                 bytes,
@@ -2852,7 +2870,7 @@ impl<'w> Engine<'w> {
         if q == host {
             self.apply_join_grant(q, now);
         } else {
-            self.send::<Live>(
+            self.send(
                 host,
                 q,
                 JOIN_BYTES,
@@ -2885,10 +2903,10 @@ impl<'w> Engine<'w> {
                 self.groups[g].pending_initiators.insert(q);
             } else {
                 self.state[q] = ProcState::Inactive;
-                self.on_out_of_work::<Live>(q, now);
+                self.on_out_of_work(q, now);
             }
         } else {
-            self.schedule_compute::<Live>(q, now);
+            self.schedule_compute(q, now);
         }
     }
 
@@ -2917,7 +2935,7 @@ impl<'w> Engine<'w> {
                 self.awaiting_in[d] = 0;
                 e.awaiting -= 1;
             }
-            e.central_profiles.remove(&d);
+            e.profiles.remove(&d);
             e.sent_profiles.remove(&d);
             e.local_profiles.remove(&d);
             for profs in e.local_profiles.values_mut() {
@@ -2953,7 +2971,7 @@ impl<'w> Engine<'w> {
                     let left = expect.saturating_sub(owed_by_dead);
                     if left == 0 {
                         self.stop_awaiting(g, m);
-                        self.resume::<Live>(m, now);
+                        self.resume(m, now);
                     } else {
                         self.state[m] = ProcState::WaitWork { expect: left };
                     }
@@ -2972,7 +2990,7 @@ impl<'w> Engine<'w> {
                 }
             }
         }
-        self.maybe_close_episode::<Live>(g, now);
+        self.maybe_close_episode(g, now);
     }
 
     /// One watchdog retransmission round for group `g`'s episode: re-send
@@ -3005,10 +3023,7 @@ impl<'w> Engine<'w> {
                     .map(|&m| self.profiled_in[m] == e.id)
                     .collect::<Vec<bool>>(),
                 e.sent_profiles.clone(),
-                e.central_profiles
-                    .keys()
-                    .copied()
-                    .collect::<BTreeSet<usize>>(),
+                e.profiles.keys().copied().collect::<BTreeSet<usize>>(),
                 e.local_profiles
                     .iter()
                     .map(|(&m, profs)| (m, profs.keys().copied().collect::<BTreeSet<usize>>()))
@@ -3044,7 +3059,7 @@ impl<'w> Engine<'w> {
         for (to, grp, ranges) in self.take_lost_work(|_, grp| grp == g) {
             self.faults.retries += 1;
             let bytes = WORK_HEADER_BYTES + (ranges_len(&ranges) * self.bytes_per_iter) as usize;
-            self.send::<Live>(sender, to, bytes, Payload::Work { group: grp, ranges }, now);
+            self.send(sender, to, bytes, Payload::Work { group: grp, ranges }, now);
         }
 
         // 2. Interrupts that never bit: a live participant still
@@ -3056,7 +3071,7 @@ impl<'w> Engine<'w> {
                 && !self.interrupted[m]
             {
                 self.faults.retries += 1;
-                self.send::<Live>(
+                self.send(
                     sender,
                     m,
                     INTERRUPT_BYTES,
@@ -3082,7 +3097,7 @@ impl<'w> Engine<'w> {
                     if q == master {
                         self.record_central_profile(g, *prof, now);
                     } else {
-                        self.send::<Live>(
+                        self.send(
                             q,
                             master,
                             PerfProfile::WIRE_BYTES,
@@ -3107,7 +3122,7 @@ impl<'w> Engine<'w> {
                             continue;
                         }
                         self.faults.retries += 1;
-                        self.send::<Live>(
+                        self.send(
                             q,
                             m,
                             PerfProfile::WIRE_BYTES,
@@ -3134,12 +3149,12 @@ impl<'w> Engine<'w> {
                     }
                     self.faults.retries += 1;
                     if m == master {
-                        self.act_on_outcome::<Live>(m, g, &out, now);
+                        self.act_on_outcome(m, g, &out, now);
                     } else {
                         // Stamped with the *current* epoch: retransmission
                         // is exactly how a view change supersedes stale
                         // in-flight instructions (§S14).
-                        self.send::<Live>(
+                        self.send(
                             master,
                             m,
                             INSTRUCTION_BYTES,
@@ -3178,7 +3193,7 @@ impl<'w> Engine<'w> {
                 }
             }
             match self.state[m] {
-                ProcState::WaitOutcome | ProcState::WaitWork { .. } => self.resume::<Live>(m, now),
+                ProcState::WaitOutcome | ProcState::WaitWork { .. } => self.resume(m, now),
                 _ => {}
             }
         }
@@ -3188,7 +3203,7 @@ impl<'w> Engine<'w> {
                 for r in ranges {
                     self.queues[to].push_back(r);
                 }
-                self.wake_if_idle::<Live>(to, now);
+                self.wake_if_idle(to, now);
             } else {
                 self.reassign_orphan_ranges(to, ranges, now);
             }
@@ -3201,7 +3216,7 @@ impl<'w> Engine<'w> {
     // ------------------------------------------------------------------
     // deliveries
 
-    fn on_deliver<M: Seam>(&mut self, to: usize, payload: Payload, now: f64) {
+    fn on_deliver(&mut self, to: usize, payload: Payload, now: f64) {
         if self.membership.is_dead(to) {
             // A dead endpoint acknowledges nothing: the transport reports
             // the failure and the sender keeps its copy of any work so
@@ -3240,7 +3255,7 @@ impl<'w> Engine<'w> {
                     return;
                 }
                 match self.state[to] {
-                    ProcState::Computing => self.flag_interrupt::<M>(to, now),
+                    ProcState::Computing => self.flag_interrupt(to, now),
                     // Drained while the previous episode was closing and
                     // queued to initiate the next one — but a peer beat it
                     // to it: join the peer's episode instead.
@@ -3251,7 +3266,7 @@ impl<'w> Engine<'w> {
                             .is_some_and(|e| self.profiled_in[to] != e.id);
                         if join {
                             self.groups[group].pending_initiators.remove(&to);
-                            self.send_profile::<M>(to, now);
+                            self.send_profile(to, now);
                         }
                     }
                     // Already profiled proactively, waiting, or inactive:
@@ -3289,7 +3304,7 @@ impl<'w> Engine<'w> {
                 {
                     return;
                 }
-                M::record_profile(self, group, to, profile, now);
+                self.record_profile(group, to, profile, now);
             }
             Payload::Instruction {
                 group,
@@ -3327,7 +3342,7 @@ impl<'w> Engine<'w> {
                                 a.report.stale_applied += 1;
                             }
                         }
-                        self.act_on_outcome::<M>(to, group, &outcome, now);
+                        self.act_on_outcome(to, group, &outcome, now);
                     }
                     Some(_) => {
                         // A retransmission duplicate outlived its episode
@@ -3394,7 +3409,7 @@ impl<'w> Engine<'w> {
                         for r in ranges {
                             self.queues[to].push_back(r);
                         }
-                        self.wake_if_idle::<M>(to, now);
+                        self.wake_if_idle(to, now);
                     }
                     return;
                 };
@@ -3405,8 +3420,8 @@ impl<'w> Engine<'w> {
                 let left = expect.saturating_sub(got);
                 if left == 0 {
                     self.stop_awaiting(group, to);
-                    self.resume::<M>(to, now);
-                    self.maybe_close_episode::<M>(group, now);
+                    self.resume(to, now);
+                    self.maybe_close_episode(group, now);
                 } else {
                     self.state[to] = ProcState::WaitWork { expect: left };
                 }
@@ -3920,7 +3935,7 @@ mod tests {
             predicted_old: 0.0,
             predicted_new: 0.0,
         }));
-        engine.on_deliver::<Live>(
+        engine.on_deliver(
             1,
             Payload::Instruction {
                 group: 0,
@@ -3936,7 +3951,7 @@ mod tests {
         );
         // A current-epoch instruction passes the guard (and is then a
         // no-op only because no episode is open).
-        engine.on_deliver::<Live>(
+        engine.on_deliver(
             1,
             Payload::Instruction {
                 group: 0,
@@ -3985,7 +4000,7 @@ mod tests {
         let mut engine =
             Engine::new(ClusterSpec::dedicated(4), &wl, Some(acfg.initial)).with_adaptive(acfg);
         engine.membership_epoch = 2;
-        engine.on_deliver::<Live>(1, Payload::Interrupt { group: 0, epoch: 1 }, 0.1);
+        engine.on_deliver(1, Payload::Interrupt { group: 0, epoch: 1 }, 0.1);
         let outcome = Arc::new(Plan::new(BalanceOutcome {
             verdict: BalanceVerdict::BelowThreshold,
             new_counts: vec![],
@@ -3994,7 +4009,7 @@ mod tests {
             predicted_old: 0.0,
             predicted_new: 0.0,
         }));
-        engine.on_deliver::<Live>(
+        engine.on_deliver(
             1,
             Payload::Instruction {
                 group: 0,
@@ -4010,8 +4025,8 @@ mod tests {
             assert_eq!(rep.stale_applied, 0);
         }
         // Current-epoch messages pass the guard untouched.
-        engine.on_deliver::<Live>(1, Payload::Interrupt { group: 0, epoch: 2 }, 0.3);
-        engine.on_deliver::<Live>(
+        engine.on_deliver(1, Payload::Interrupt { group: 0, epoch: 2 }, 0.3);
+        engine.on_deliver(
             1,
             Payload::Instruction {
                 group: 0,
@@ -4048,27 +4063,5 @@ mod tests {
         assert_eq!(a.final_strategy, Strategy::Gddlb);
         assert_eq!(a.mid_episode_switches, 0);
         assert_eq!(a.stale_applied, 0);
-    }
-
-    #[test]
-    fn ff_fallback_reasons_partition_the_fallbacks() {
-        // The per-reason counters must account for every fallback: their
-        // sum (plus switch-forced replays) equals `episodes_fallback`.
-        let wl = uniform(2000, 0.01);
-        let mut cluster = ClusterSpec::dedicated(6);
-        cluster.loads[4] = LoadSpec::Constant { level: 3 };
-        let cfg = StrategyConfig::paper(Strategy::Gddlb, 2);
-        let (_, c) = Engine::new(cluster, &wl, Some(cfg))
-            .with_mode(EngineMode::Episode)
-            .with_faults(FaultPlan::crash(5, 0.5), FailurePolicy::default())
-            .run_counted();
-        assert_eq!(
-            c.episodes_fallback,
-            c.ff_fallback_foreign
-                + c.ff_fallback_fault
-                + c.ff_fallback_delay
-                + c.ff_fallback_switch,
-            "counters: {c:?}"
-        );
     }
 }

@@ -32,11 +32,8 @@
 //!   (b) rebuilds the group structure for the new strategy from the
 //!   **current** membership — detected-dead processors stay out, parked
 //!   rejoiners and initiators follow their owners into their new groups;
-//!   (c) re-elects balancer roles (the flat master, or every §S16
-//!   hierarchy domain master) from live membership; and (d) marks every
-//!   new group's first episode for per-message replay (Episode mode),
-//!   since the fast-forward's cached scratch assumptions predate the
-//!   regime change.
+//!   and (c) re-elects balancer roles (the flat master, or every §S16
+//!   hierarchy domain master) from live membership.
 //!
 //! # Legality conditions
 //!
@@ -88,12 +85,6 @@ pub(super) struct AdaptiveState {
     window_start_time: f64,
     /// Per-processor `iters_done` snapshot at the window anchor.
     window_start_iters: Vec<u64>,
-    /// Per-group flag: the next episode of this group must take the
-    /// per-message path even in Episode mode (set for every group right
-    /// after a switch, cleared on first use). All `false` at
-    /// construction, so a run that never switches fast-forwards exactly
-    /// like a static run.
-    pub(super) replay_next: Vec<bool>,
     /// Accounting folded into the final [`RunReport`].
     pub(super) report: AdaptiveReport,
 }
@@ -148,13 +139,11 @@ impl<'w> Engine<'w> {
             window_episodes: 0,
             window_start_time: 0.0,
             window_start_iters: vec![0; p],
-            replay_next: vec![false; self.groups.len()],
         });
         self
     }
 
-    /// The common tail of every episode boundary (normal close, abort,
-    /// fast-forwarded close): run the adaptive re-decision hook, then
+    /// The common tail of every episode boundary (close or abort): run the adaptive re-decision hook, then
     /// drain parked rejoiners and initiators. After a switch the group
     /// structure changed, so *every* new group's parked queues drain —
     /// the caller's group index belongs to the old regime.
@@ -170,7 +159,7 @@ impl<'w> Engine<'w> {
 
     /// Admit rejoiners parked at this boundary, then let one drained
     /// member start the next episode — exactly the pre-adaptive boundary
-    /// tail, shared by all three close sites.
+    /// tail, shared by both close sites.
     fn drain_boundary(&mut self, g: usize, now: f64) {
         // The episode boundary: admit rejoiners that knocked while it
         // was open (§S14). An admission may itself open the next
@@ -196,7 +185,7 @@ impl<'w> Engine<'w> {
             if !self.active[p] || self.state[p] != ProcState::IdlePending {
                 continue;
             }
-            self.on_out_of_work::<Live>(p, now);
+            self.on_out_of_work(p, now);
             break;
         }
     }
@@ -322,9 +311,8 @@ impl<'w> Engine<'w> {
         }
         // Amortization guard: if the incumbent's predicted remaining time
         // is shorter than the observation window that produced it, the
-        // run is in its endgame — a handover (epoch bump, role re-seed,
-        // per-message replay of every group's next episode) cannot recoup
-        // its disruption before the work runs out.
+        // run is in its endgame — a handover (epoch bump, role re-seed)
+        // cannot recoup its disruption before the work runs out.
         if pc <= elapsed {
             return false;
         }
@@ -355,7 +343,17 @@ impl<'w> Engine<'w> {
             .expect("adaptive runs require DLB")
             .strategy;
         // Old-regime in-flight Instructions/Interrupts die on arrival
-        // from here on (§S14 staleness guards).
+        // from here on (§S14 staleness guards). A profile set completed
+        // analytically never straddles the switch: without a fault plan a
+        // profile is in flight only while its episode is open, and a
+        // switch needs every episode closed.
+        debug_assert!(
+            !self
+                .events
+                .iter()
+                .any(|Reverse(ev)| matches!(ev.kind, EvKind::ProfilesIn { .. })),
+            "a profile set completes across a strategy switch"
+        );
         self.membership_epoch += 1;
         let mut cfg = self.cfg.take().expect("adaptive runs require DLB");
         cfg.strategy = to;
@@ -453,11 +451,6 @@ impl<'w> Engine<'w> {
         self.role_busy = vec![0.0; self.role_master.len()];
         self.cfg = Some(cfg);
 
-        // Episode mode: the first post-switch episode of every group
-        // replays per-message — the fast-forward's preconditions were
-        // established under the old regime.
-        a.replay_next.clear();
-        a.replay_next.resize(self.groups.len(), true);
         a.report.switches.push(SwitchRecord {
             at: now,
             episode: self.episode_seq,

@@ -2,7 +2,7 @@
 //!
 //! Every profile broadcast, interrupt fan-out and instruction broadcast
 //! goes through the engine's fan-out: the medium costs each message,
-//! the fault plan decides its fate, and the seam hands it to its
+//! the fault plan decides its fate, and the engine hands it to its
 //! receiver. These pins hold the FNV-1a of each run's report JSON and
 //! its [`EngineCounters`], so a rewrite of the fan-out must leave every
 //! report byte and every event count where it is:
@@ -10,12 +10,13 @@
 //! * noDLB and the four strategies, in episode mode, on the P=256
 //!   `engine_bench` scaling cell (MXM R=25·P, 400×400, groups of 8,
 //!   LCDLB under a two-level hierarchy): GDDLB alone sends 256·255
-//!   profiles per episode, nearly all of them inside the fast-forward;
+//!   profiles per episode, and only the last broadcast's messages become
+//!   events, one per balancer;
 //! * GDDLB and GCDLB at P=64 under a loss and delay plan: every message
 //!   draws its own loss decision, so the fan-out takes its per-message
-//!   fate path, and some replays fall back on a drop; and both again
-//!   under a mild delay alone and a long watchdog, so every replay
-//!   commits its broadcasts through that per-message path.
+//!   fate path and every profile is its own delivery event; and both
+//!   again under a mild delay alone and a long watchdog, so the
+//!   broadcasts are stretched but none is lost.
 
 use dlb_apps::MxmConfig;
 use dlb_core::strategy::{Strategy, StrategyConfig};
@@ -30,24 +31,30 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The counters in declaration order.
-fn counts(c: &EngineCounters) -> [u64; 10] {
+/// The event counters in declaration order. The retired fast-forward's
+/// fields must read 0.
+fn counts(c: &EngineCounters) -> [u64; 4] {
+    assert_eq!(
+        *c,
+        EngineCounters {
+            events: c.events,
+            compute_events: c.compute_events,
+            heartbeat_events: c.heartbeat_events,
+            protocol_events: c.protocol_events,
+            ..EngineCounters::default()
+        },
+        "a fast-forward counter moved"
+    );
     [
         c.events,
         c.compute_events,
         c.heartbeat_events,
         c.protocol_events,
-        c.episodes_fast_forwarded,
-        c.episodes_fallback,
-        c.ff_fallback_foreign,
-        c.ff_fallback_fault,
-        c.ff_fallback_delay,
-        c.ff_fallback_switch,
     ]
 }
 
 /// One run's report digest and counters.
-fn digest(engine: Engine<'_>) -> (String, [u64; 10]) {
+fn digest(engine: Engine<'_>) -> (String, [u64; 4]) {
     let (report, counters) = engine.with_mode(EngineMode::Episode).run_counted();
     let json = serde_json::to_string(&report).expect("report serializes");
     (
@@ -58,7 +65,7 @@ fn digest(engine: Engine<'_>) -> (String, [u64; 10]) {
 
 /// Compare every `(run, digest, counters)` row against its pin, printing
 /// all actual rows first so a deliberate re-pin is one copy.
-fn check(actual: &[(&str, String, [u64; 10])], pins: &[(&str, &str, [u64; 10])]) {
+fn check(actual: &[(&str, String, [u64; 4])], pins: &[(&str, &str, [u64; 4])]) {
     for (name, d, c) in actual {
         println!("    (\"{name}\", \"{d}\", {c:?}),");
     }
@@ -135,7 +142,7 @@ fn fanouts_under_fault_plans_are_pinned() {
         }),
         ..FaultPlan::default()
     };
-    // A watchdog long enough that the delayed replays commit.
+    // A watchdog long enough that no delayed episode times out.
     let patient = FailurePolicy {
         sync_timeout: 10.0,
         ..FailurePolicy::default()
@@ -159,19 +166,19 @@ fn fanouts_under_fault_plans_are_pinned() {
 
 /// Report digest and counters of the P=256 scaling cell.
 #[rustfmt::skip]
-const PINS_P256: &[(&str, &str, [u64; 10])] = &[
-    ("noDLB", "90967468625b3864", [256, 256, 0, 0, 0, 0, 0, 0, 0, 0]),
-    ("GCDLB", "ea74f97164708201", [291, 288, 0, 3, 3, 0, 0, 0, 0, 0]),
-    ("GDDLB", "561f06f0a608e260", [350, 346, 0, 4, 4, 0, 0, 0, 0, 0]),
-    ("LCDLB", "71ee0b1021b6e0e7", [2867, 968, 0, 1899, 2, 74, 74, 0, 0, 0]),
-    ("LDDLB", "eec1e64af3f2d40f", [5277, 816, 0, 4461, 2, 61, 61, 0, 0, 0]),
+const PINS_P256: &[(&str, &str, [u64; 4])] = &[
+    ("noDLB", "90967468625b3864", [256, 256, 0, 0]),
+    ("GCDLB", "ea74f97164708201", [2299, 944, 0, 1355]),
+    ("GDDLB", "561f06f0a608e260", [3779, 1183, 0, 2596]),
+    ("LCDLB", "71ee0b1021b6e0e7", [2401, 970, 0, 1431]),
+    ("LDDLB", "eec1e64af3f2d40f", [2401, 817, 0, 1584]),
 ];
 
 /// Report digest and counters of the P=64 runs under fault plans.
 #[rustfmt::skip]
-const PINS_LOSSY_P64: &[(&str, &str, [u64; 10])] = &[
-    ("GDDLB", "9e59aa8f591ffa04", [11245, 157, 0, 11088, 0, 3, 1, 2, 0, 0]),
-    ("GCDLB", "0aeb06be02a35a2f", [1127, 330, 0, 797, 0, 5, 1, 4, 0, 0]),
-    ("GDDLB delay", "088f216e3ef4610e", [166, 162, 0, 4, 4, 0, 0, 0, 0, 0]),
-    ("GCDLB delay", "d30701d26994b325", [156, 152, 0, 4, 4, 0, 0, 0, 0, 0]),
+const PINS_LOSSY_P64: &[(&str, &str, [u64; 4])] = &[
+    ("GDDLB", "9e59aa8f591ffa04", [11245, 157, 0, 11088]),
+    ("GCDLB", "0aeb06be02a35a2f", [1127, 330, 0, 797]),
+    ("GDDLB delay", "088f216e3ef4610e", [14269, 396, 0, 13873]),
+    ("GCDLB delay", "d30701d26994b325", [1170, 395, 0, 775]),
 ];
