@@ -519,4 +519,67 @@ mod tests {
             prop_assert_eq!(&live, &fan);
         }
     }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The regime of a P=1024 all-to-all profile exchange: 1,023
+        /// receivers in shuffled order with the sender among them, a
+        /// quarter unloaded and the rest at mixed factors, requested
+        /// hundreds to thousands of seconds into the run while one
+        /// earlier frame has booked the wire (on the switch, one
+        /// receiver's port) hundreds of seconds ahead.
+        #[test]
+        fn prop_fanout_equals_one_schedule_per_receiver_at_scale(
+            switch in 0u32..2,
+            from in 0usize..1024,
+            seed in any::<u64>(),
+            warm in 0usize..200,
+            now in 256.0f64..4096.0,
+            booked in 100.0f64..900.0,
+            send in 1.0f64..4.0,
+            bytes in 0usize..5000,
+        ) {
+            let n = 1024;
+            let base = if switch == 1 { switched(n) } else { bus(n) };
+            let mut warmup: Vec<_> = trace(n, warm)
+                .into_iter()
+                .map(|(f, t, b, at, fac)| (f, t, b, now - 1.0 + at, fac))
+                .collect();
+            let hog = (from + 1) % n;
+            let hog_bytes = (booked * base.params().bandwidth) as usize;
+            warmup.push((hog, (from + 2) % n, hog_bytes, now, EndpointFactors::default()));
+            let mut live = base.clone();
+            let mut fan = base;
+            for &(f, t, b, at, fac) in &warmup {
+                live.send_with_factors(f, t, b, at, fac);
+                fan.send_with_factors(f, t, b, at, fac);
+            }
+            // Every node once, Fisher-Yates shuffled; factor 1 on every
+            // fourth, a fraction in [1, 4) on the others.
+            let mut x = seed | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let receivers: Vec<(usize, f64)> = order
+                .into_iter()
+                .enumerate()
+                .map(|(k, to)| {
+                    let unit = (next() >> 11) as f64 / (1u64 << 53) as f64;
+                    (to, if k % 4 == 0 { 1.0 } else { 1.0 + 3.0 * unit })
+                })
+                .collect();
+            let expected = one_at_a_time(&mut live, from, bytes, now, send, &receivers);
+            prop_assert_eq!(expected.len(), n - 1);
+            prop_assert_eq!(fanned(&mut fan, from, bytes, now, send, &receivers), expected);
+            prop_assert_eq!(&live, &fan);
+        }
+    }
 }
