@@ -56,6 +56,24 @@ impl Default for EndpointFactors {
     }
 }
 
+/// The later of two instants: `b` if it is strictly later than `a`, else
+/// `a`.
+///
+/// For instants that are not NaN this is `a.max(b)`. It is written out
+/// because on x86-64 it is one `maxsd`, while `f64::max` adds a NaN
+/// fix-up to each of [`step`]'s loop-carried chains (the sender's port
+/// and the wire). Medium instants are never NaN: requests are event
+/// times (checked in debug builds), and costs are products of validated
+/// finite parameters and factors asserted to be at least 1.
+#[inline(always)]
+fn later(a: f64, b: f64) -> f64 {
+    if b > a {
+        b
+    } else {
+        a
+    }
+}
+
 /// The per-message FCFS step, shared by [`MediumSim::send_with_factors`]
 /// and [`MediumSim::fanout`]: the sender's CPU, then the wire (bus
 /// media only), then the receiver's CPU, each taken first come, first
@@ -74,20 +92,20 @@ fn step(
     recv_cost: f64,
 ) -> Transmission {
     // Sender CPU.
-    let start = now.max(*send_free);
+    let start = later(now, *send_free);
     let sent = start + send_cost;
     *send_free = sent;
     // Wire.
     let arrival = match params.medium {
         MediumKind::SharedBus => {
-            let bus_start = sent.max(*bus_free);
+            let bus_start = later(sent, *bus_free);
             *bus_free = bus_start + frame;
             bus_start + frame
         }
         MediumKind::Switched => sent + frame,
     };
     // Receiver CPU.
-    let delivered = arrival.max(*recv_free) + recv_cost;
+    let delivered = later(arrival, *recv_free) + recv_cost;
     *recv_free = delivered;
     Transmission { start, delivered }
 }
@@ -164,6 +182,7 @@ impl MediumSim {
             factors.send >= 1.0 && factors.recv >= 1.0,
             "endpoint factors must be >= 1 (1 = unloaded)"
         );
+        debug_assert!(!now.is_nan(), "request time is NaN");
         if from == to {
             return Transmission {
                 start: now,
@@ -184,14 +203,18 @@ impl MediumSim {
     }
 
     /// A one-sender fan-out: one message of `bytes` bytes from `from` to
-    /// each `(to, recv)` receiver in order — `recv` scales that
-    /// receiver's CPU cost, `send` the sender's — all requested at `now`.
-    /// `sink` sees each receiver's [`Transmission`] in order. Self-sends
-    /// are skipped: they touch no port and are not passed to `sink`.
+    /// each receiver of `fan` in order, all requested at `now`, the
+    /// sender's CPU cost scaled by `send`. Each entry comes in as a
+    /// receiver and the factor scaling its CPU cost, and leaves as that
+    /// receiver and its message's delivery time. A self-send touches no
+    /// port and is delivered at `now`, as in
+    /// [`MediumSim::send_with_factors`].
     ///
     /// Bit for bit the same as one [`MediumSim::send_with_factors`] per
     /// receiver: the send cost and frame time are the same products,
-    /// hoisted out of the loop, and each message runs the same step.
+    /// hoisted out of the loop, and each message runs the same step. The
+    /// caller gathers every factor before the sweep, so the loop runs
+    /// that step and nothing else.
     ///
     /// # Panics
     /// Panics if a node index is out of range or a factor is below 1.
@@ -201,12 +224,12 @@ impl MediumSim {
         bytes: usize,
         now: f64,
         send: f64,
-        receivers: impl IntoIterator<Item = (usize, f64)>,
-        mut sink: impl FnMut(usize, Transmission),
+        fan: &mut [(usize, f64)],
     ) {
         let n = self.nodes();
         assert!(from < n, "node index out of range");
         assert!(send >= 1.0, "endpoint factors must be >= 1 (1 = unloaded)");
+        debug_assert!(!now.is_nan(), "request time is NaN");
         let params = &self.params;
         let send_cost = params.send_overhead * send;
         let frame = params.frame_time(bytes);
@@ -214,23 +237,25 @@ impl MediumSim {
         // only the receivers' ports vary.
         let mut send_free = self.send_port_free[from];
         let mut bus_free = self.bus_free_at;
-        for (to, recv) in receivers {
+        for entry in fan.iter_mut() {
+            let (to, recv) = *entry;
             assert!(to < n, "node index out of range");
             assert!(recv >= 1.0, "endpoint factors must be >= 1 (1 = unloaded)");
-            if to == from {
-                continue;
-            }
-            let tx = step(
-                params,
-                &mut send_free,
-                &mut bus_free,
-                &mut self.recv_port_free[to],
-                now,
-                send_cost,
-                frame,
-                params.recv_overhead * recv,
-            );
-            sink(to, tx);
+            entry.1 = if to == from {
+                now
+            } else {
+                step(
+                    params,
+                    &mut send_free,
+                    &mut bus_free,
+                    &mut self.recv_port_free[to],
+                    now,
+                    send_cost,
+                    frame,
+                    params.recv_overhead * recv,
+                )
+                .delivered
+            };
         }
         self.send_port_free[from] = send_free;
         self.bus_free_at = bus_free;
@@ -427,7 +452,7 @@ mod tests {
     }
 
     /// A fan-out's messages sent one [`MediumSim::send_with_factors`] at
-    /// a time, as `(receiver, start bits, delivered bits)`.
+    /// a time, self-sends left out, as `(receiver, delivered bits)`.
     fn one_at_a_time(
         m: &mut MediumSim,
         from: usize,
@@ -435,18 +460,19 @@ mod tests {
         now: f64,
         send: f64,
         receivers: &[(usize, f64)],
-    ) -> Vec<(usize, u64, u64)> {
+    ) -> Vec<(usize, u64)> {
         receivers
             .iter()
             .filter(|&&(to, _)| to != from)
             .map(|&(to, recv)| {
                 let t = m.send_with_factors(from, to, bytes, now, EndpointFactors { send, recv });
-                (to, t.start.to_bits(), t.delivered.to_bits())
+                (to, t.delivered.to_bits())
             })
             .collect()
     }
 
-    /// The same messages through one [`MediumSim::fanout`].
+    /// The same messages through one [`MediumSim::fanout`]; a self-send
+    /// must come back delivered at `now`.
     fn fanned(
         m: &mut MediumSim,
         from: usize,
@@ -454,19 +480,17 @@ mod tests {
         now: f64,
         send: f64,
         receivers: &[(usize, f64)],
-    ) -> Vec<(usize, u64, u64)> {
-        let mut out = Vec::new();
-        m.fanout(
-            from,
-            bytes,
-            now,
-            send,
-            receivers.iter().copied(),
-            |to, t| {
-                out.push((to, t.start.to_bits(), t.delivered.to_bits()));
-            },
+    ) -> Vec<(usize, u64)> {
+        let mut fan = receivers.to_vec();
+        m.fanout(from, bytes, now, send, &mut fan);
+        assert!(
+            fan.iter().all(|&(to, at)| to != from || at == now),
+            "a self-send is delivered at once"
         );
-        out
+        fan.iter()
+            .filter(|&&(to, _)| to != from)
+            .map(|&(to, at)| (to, at.to_bits()))
+            .collect()
     }
 
     /// A fan-out is bit for bit the same messages scheduled one at a

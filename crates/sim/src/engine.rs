@@ -55,7 +55,6 @@ use now_load::{ClockCursor, WorkClock};
 use now_net::medium::EndpointFactors;
 use now_net::MediumSim;
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::ops::Range;
@@ -588,11 +587,10 @@ struct SlowSpan {
 /// Every message send queries both endpoints' slowdowns, and the level is
 /// constant within a persistence span, so a re-query inside the cached
 /// `[from, until)` window would return the same value (the `ClockCursor`
-/// reuse argument). `Cell` because a fan-out reads its receivers'
-/// factors through `&self` while the medium is borrowed mutably.
+/// reuse argument).
 struct Cpus {
     clocks: Vec<WorkClock>,
-    spans: Vec<Cell<SlowSpan>>,
+    spans: Vec<SlowSpan>,
 }
 
 impl Cpus {
@@ -603,37 +601,53 @@ impl Cpus {
     /// daemon shares with it too — the paper's "context switching
     /// between the load balancer and the computation slave" (Section
     /// 6.2).
-    fn factor(&self, state: &[ProcState], node: usize, now: f64) -> f64 {
-        let mut span = self.spans[node].get();
-        if !(now >= span.from && now < span.until) {
-            let load = self.clocks[node].load();
-            span = SlowSpan {
-                slow: load.slowdown_at(now),
-                from: now,
-                until: load.next_change_after(now),
-            };
-            self.spans[node].set(span);
-        }
+    fn factor(&mut self, state: &[ProcState], node: usize, now: f64) -> f64 {
+        let span = self.spans[node];
+        let slow = if now >= span.from && now < span.until {
+            span.slow
+        } else {
+            self.refresh(node, now)
+        };
         let share = if state[node] == ProcState::Computing {
             2.0
         } else {
             1.0
         };
-        (span.slow * share).max(1.0)
+        (slow * share).max(1.0)
     }
 
-    /// A fan-out's receivers: every processor of `to` but `from`, each
-    /// with its factor at `now`, read as the medium's sweep reaches it.
-    fn receivers<'a>(
-        &'a self,
-        state: &'a [ProcState],
+    /// Re-read `node`'s load span at `now`, outside its cached one, and
+    /// return its slowdown. Out of line so that [`Cpus::factor`]'s
+    /// cache hit inlines into the fan-out gather.
+    #[cold]
+    #[inline(never)]
+    fn refresh(&mut self, node: usize, now: f64) -> f64 {
+        let load = self.clocks[node].load();
+        let span = SlowSpan {
+            slow: load.slowdown_at(now),
+            from: now,
+            until: load.next_change_after(now),
+        };
+        self.spans[node] = span;
+        span.slow
+    }
+
+    /// Gather a fan-out's receivers into `fan`: every processor of `to`
+    /// but `from`, in order, each with its factor at `now`.
+    fn gather(
+        &mut self,
+        state: &[ProcState],
         from: usize,
-        to: &'a [usize],
+        to: &[usize],
         now: f64,
-    ) -> impl Iterator<Item = (usize, f64)> + 'a {
-        to.iter()
-            .filter(move |&&m| m != from)
-            .map(move |&m| (m, self.factor(state, m, now)))
+        fan: &mut Vec<(usize, f64)>,
+    ) {
+        fan.clear();
+        for &m in to {
+            if m != from {
+                fan.push((m, self.factor(state, m, now)));
+            }
+        }
     }
 }
 
@@ -692,8 +706,9 @@ pub struct Engine<'w> {
     /// [`EngineMode::Episode`]). Set when the run starts: Episode mode
     /// without a fault plan.
     analytic: bool,
-    /// Pooled fan-out buffer: each message's receiver and delivery time.
-    fan_arrivals: Vec<(usize, f64)>,
+    /// Pooled fan-out buffer: each message's receiver and its CPU
+    /// factor, then, once the medium has swept it, its delivery time.
+    fan: Vec<(usize, f64)>,
 
     // --- coalesced heartbeats (Episode mode) ---
     /// Liveness ticks fired so far (`faults.heartbeat_sweeps` mirror).
@@ -897,15 +912,14 @@ impl<'w> Engine<'w> {
             cfg,
             cpus: Cpus {
                 clocks,
-                spans: (0..p)
-                    .map(|_| {
-                        Cell::new(SlowSpan {
-                            slow: 1.0,
-                            from: 0.0,
-                            until: f64::NEG_INFINITY,
-                        })
-                    })
-                    .collect(),
+                spans: vec![
+                    SlowSpan {
+                        slow: 1.0,
+                        from: 0.0,
+                        until: f64::NEG_INFINITY,
+                    };
+                    p
+                ],
             },
             medium,
             events: BinaryHeap::new(),
@@ -917,7 +931,7 @@ impl<'w> Engine<'w> {
             block_epoch: vec![0; p],
             boundary_pool: Vec::new(),
             analytic: false,
-            fan_arrivals: Vec::new(),
+            fan: Vec::new(),
             hb_ticks_counted: 0,
             hb_target: None,
             queues,
@@ -1295,10 +1309,9 @@ impl<'w> Engine<'w> {
     /// instruction broadcast. Each message gets the bookkeeping
     /// [`Engine::send_opts`] gives one message — stats, the fault plan's
     /// [`Engine::fate`], and delivery — but the medium costs the whole
-    /// fan-out in one sweep ([`now_net::MediumSim::fanout`]), reading
-    /// each receiver's CPU factor as it goes. A lost message has still
-    /// occupied the medium. Only control messages fan out, so no lost
-    /// work is ever logged here.
+    /// fan-out in one sweep ([`Engine::sweep`]). A lost message has
+    /// still occupied the medium. Only control messages fan out, so no
+    /// lost work is ever logged here.
     fn fanout(&mut self, from: usize, to: &[usize], bytes: usize, now: f64, p: &Payload) {
         match *p {
             Payload::Profile { group, .. } if self.analytic => {
@@ -1315,18 +1328,8 @@ impl<'w> Engine<'w> {
             payload,
             Payload::Interrupt { .. } | Payload::Profile { .. } | Payload::Instruction { .. }
         ));
-        let mut sent = std::mem::take(&mut self.fan_arrivals);
-        sent.clear();
-        self.medium.fanout(
-            from,
-            bytes,
-            now,
-            self.cpus.factor(&self.state, from, now),
-            self.cpus.receivers(&self.state, from, to, now),
-            |to, tx| sent.push((to, tx.delivered)),
-        );
-        self.fan_sent(from, now, sent.len());
-        for &(m, at) in &sent {
+        let fan = self.sweep(from, to, bytes, now);
+        for &(m, at) in &fan {
             let at = if self.fault_active {
                 match self.fate(from, m, now, at, true) {
                     Fate::Deliver(at) => at,
@@ -1337,7 +1340,22 @@ impl<'w> Engine<'w> {
             };
             self.deliver(at, m, payload.clone());
         }
-        self.fan_arrivals = sent;
+        self.fan = fan;
+    }
+
+    /// Cost a fan-out on the medium in two steps: gather every receiver
+    /// of `to` but `from` with its CPU factor at `now` into the pooled
+    /// buffer, then sweep it with [`now_net::MediumSim::fanout`], whose
+    /// loop runs the FCFS step and nothing else. Returns the buffer,
+    /// each message's receiver and delivery time in send order; the
+    /// caller puts it back in `self.fan`.
+    fn sweep(&mut self, from: usize, to: &[usize], bytes: usize, now: f64) -> Vec<(usize, f64)> {
+        let mut fan = std::mem::take(&mut self.fan);
+        let send = self.cpus.factor(&self.state, from, now);
+        self.cpus.gather(&self.state, from, to, now, &mut fan);
+        self.medium.fanout(from, bytes, now, send, &mut fan);
+        self.fan_sent(from, now, fan.len());
+        fan
     }
 
     /// Account `n` fan-out messages sent by `from` at `now`. Without a
@@ -1900,10 +1918,10 @@ impl<'w> Engine<'w> {
     /// other participants `to` of group `g`'s episode, its own profile
     /// already stored. Without a fault plan every broadcast reaches every
     /// other participant, so a member's set completes only by the
-    /// episode's last broadcast, or at the last member's own record. The
-    /// sweep therefore counts broadcasts, not messages: in the last
-    /// broadcast each message completes its receiver's set, and the one
-    /// before it holds the latest delivery to the member still to
+    /// episode's last broadcast, or at the last member's own record. So
+    /// only two broadcasts read their messages back after the sweep: in
+    /// the last one each message completes its receiver's set, and the
+    /// one before it holds the latest delivery to the member still to
     /// profile ([`Engine::store_profile`]). Deliveries to one processor
     /// land in send order, so no earlier message is later.
     fn broadcast_profile(&mut self, g: usize, from: usize, to: &[usize], bytes: usize, now: f64) {
@@ -1921,39 +1939,31 @@ impl<'w> Engine<'w> {
             pkey: u32::MAX,
             seq: base + n,
         };
-        let mut completed = std::mem::take(&mut self.fan_arrivals);
-        completed.clear();
-        let mut n = 0;
-        let mut last = None;
-        let profiled_in = &self.profiled_in;
-        self.medium.fanout(
-            from,
-            bytes,
-            now,
-            self.cpus.factor(&self.state, from, now),
-            self.cpus.receivers(&self.state, from, to, now),
-            |m, tx| {
-                n += 1;
-                match missing {
-                    0 => completed.push((m, tx.delivered)),
-                    1 if profiled_in[m] != id => last = Some(key(n, tx.delivered)),
-                    _ => {}
+        let fan = self.sweep(from, to, bytes, now);
+        self.seq += fan.len() as u64;
+        match missing {
+            0 => {
+                for (i, &(at, time)) in (1..).zip(&fan) {
+                    self.push_keyed(key(i, time), EvKind::ProfilesIn { group: g, at });
                 }
-            },
-        );
-        self.fan_sent(from, now, n as usize);
-        self.seq += n;
-        if last.is_some() {
-            self.groups[g]
-                .episode
-                .as_mut()
-                .expect("episode checked above")
-                .last_profile = last;
+            }
+            1 => {
+                let profiled_in = &self.profiled_in;
+                let last = (1..)
+                    .zip(&fan)
+                    .filter(|&(_, &(m, _))| profiled_in[m] != id)
+                    .last();
+                if let Some((i, &(_, time))) = last {
+                    self.groups[g]
+                        .episode
+                        .as_mut()
+                        .expect("episode checked above")
+                        .last_profile = Some(key(i, time));
+                }
+            }
+            _ => {}
         }
-        for (i, &(at, time)) in (1..).zip(&completed) {
-            self.push_keyed(key(i, time), EvKind::ProfilesIn { group: g, at });
-        }
-        self.fan_arrivals = completed;
+        self.fan = fan;
     }
 
     /// Schedule balancer `at`'s calculation for group `g`, its profile
