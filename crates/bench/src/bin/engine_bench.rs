@@ -26,7 +26,11 @@
 //! that moves a count re-pins the table in its own diff. Other cells print their counts ungated; the
 //! full P=16 cell is pinned by the now-sim test
 //! `episode_counters_are_pinned_on_the_full_cell`. Wall time is
-//! measured by `perfbench`; the one wall number here is informational.
+//! measured by `perfbench`; the wall numbers here are informational and
+//! stay out of `BENCH_engine.json`: the aggregate wall, and per run kind
+//! the episode run's wall time and that time divided by the run's
+//! control messages (its profiles, interrupts and instructions — at
+//! large P nearly all of them profile broadcasts).
 //!
 //! `--procs P` runs a **large-P scaling cell** instead of the paper
 //! cell: the iteration count scales with P (constant work per
@@ -240,10 +244,13 @@ fn main() {
             Some(cfg) => RunKind::Dlb { cfg: *cfg },
         };
         let spec = RunSpec::new(wl.clone(), cluster.clone(), kind);
+        let run_t0 = Instant::now();
         let (epi_report, epi) = spec
             .clone()
             .with_mode(EngineMode::Episode)
             .execute_counted();
+        let run_wall = run_t0.elapsed();
+        let ctl = epi_report.stats.control_messages;
         let epi_json = serde_json::to_string(&epi_report).expect("serialize report");
         // Reference skipped at P ≥ 1024: its column reads 0 and no
         // byte-identity check runs.
@@ -265,6 +272,12 @@ fn main() {
                 epi.events, epi.compute_events, epi.protocol_events, epi.heartbeat_events
             ),
             if run_reference { "yes" } else { "-" }.to_string(),
+            format!("{:.1}", run_wall.as_secs_f64() * 1e3),
+            if ctl == 0 {
+                "-".to_string()
+            } else {
+                format!("{:.1}", run_wall.as_nanos() as f64 / ctl as f64)
+            },
         ]);
         runs.push(RunBench {
             name: name.clone(),
@@ -282,8 +295,22 @@ fn main() {
     println!(
         "{}",
         format_table(
-            &["run", "ev ref", "ev epi (c/p/h)", "identical"],
-            &[Align::Left, Align::Right, Align::Right, Align::Right],
+            &[
+                "run",
+                "ev ref",
+                "ev epi (c/p/h)",
+                "identical",
+                "epi ms",
+                "ns/ctl msg"
+            ],
+            &[
+                Align::Left,
+                Align::Right,
+                Align::Right,
+                Align::Right,
+                Align::Right,
+                Align::Right
+            ],
             &rows_out
         )
     );
