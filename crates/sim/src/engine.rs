@@ -618,7 +618,7 @@ impl Cpus {
 
     /// Re-read `node`'s load span at `now`, outside its cached one, and
     /// return its slowdown. Out of line so that [`Cpus::factor`]'s
-    /// cache hit inlines into the fan-out gather.
+    /// cache hit inlines into the fan-out gather ([`Engine::sweep_fanout`]).
     #[cold]
     #[inline(never)]
     fn refresh(&mut self, node: usize, now: f64) -> f64 {
@@ -630,24 +630,6 @@ impl Cpus {
         };
         self.spans[node] = span;
         span.slow
-    }
-
-    /// Gather a fan-out's receivers into `fan`: every processor of `to`
-    /// but `from`, in order, each with its factor at `now`.
-    fn gather(
-        &mut self,
-        state: &[ProcState],
-        from: usize,
-        to: &[usize],
-        now: f64,
-        fan: &mut Vec<(usize, f64)>,
-    ) {
-        fan.clear();
-        for &m in to {
-            if m != from {
-                fan.push((m, self.factor(state, m, now)));
-            }
-        }
     }
 }
 
@@ -1309,7 +1291,7 @@ impl<'w> Engine<'w> {
     /// instruction broadcast. Each message gets the bookkeeping
     /// [`Engine::send_opts`] gives one message — stats, the fault plan's
     /// [`Engine::fate`], and delivery — but the medium costs the whole
-    /// fan-out in one sweep ([`Engine::sweep`]). A lost message has
+    /// fan-out in one sweep ([`Engine::sweep_fanout`]). A lost message has
     /// still occupied the medium. Only control messages fan out, so no
     /// lost work is ever logged here.
     fn fanout(&mut self, from: usize, to: &[usize], bytes: usize, now: f64, p: &Payload) {
@@ -1328,7 +1310,7 @@ impl<'w> Engine<'w> {
             payload,
             Payload::Interrupt { .. } | Payload::Profile { .. } | Payload::Instruction { .. }
         ));
-        let fan = self.sweep(from, to, bytes, now);
+        let fan = self.sweep_fanout(from, to, bytes, now);
         for &(m, at) in &fan {
             let at = if self.fault_active {
                 match self.fate(from, m, now, at, true) {
@@ -1349,10 +1331,21 @@ impl<'w> Engine<'w> {
     /// loop runs the FCFS step and nothing else. Returns the buffer,
     /// each message's receiver and delivery time in send order; the
     /// caller puts it back in `self.fan`.
-    fn sweep(&mut self, from: usize, to: &[usize], bytes: usize, now: f64) -> Vec<(usize, f64)> {
+    fn sweep_fanout(
+        &mut self,
+        from: usize,
+        to: &[usize],
+        bytes: usize,
+        now: f64,
+    ) -> Vec<(usize, f64)> {
         let mut fan = std::mem::take(&mut self.fan);
+        fan.clear();
         let send = self.cpus.factor(&self.state, from, now);
-        self.cpus.gather(&self.state, from, to, now, &mut fan);
+        for &m in to {
+            if m != from {
+                fan.push((m, self.cpus.factor(&self.state, m, now)));
+            }
+        }
         self.medium.fanout(from, bytes, now, send, &mut fan);
         self.fan_sent(from, now, fan.len());
         fan
@@ -1939,7 +1932,7 @@ impl<'w> Engine<'w> {
             pkey: u32::MAX,
             seq: base + n,
         };
-        let fan = self.sweep(from, to, bytes, now);
+        let fan = self.sweep_fanout(from, to, bytes, now);
         self.seq += fan.len() as u64;
         match missing {
             0 => {
