@@ -428,17 +428,18 @@ fn full_cell() -> (ClusterSpec, impl LoopWorkload) {
 #[test]
 fn episode_counters_are_pinned_on_the_full_cell() {
     // Exact episode-mode counters per run kind: total events with their
-    // compute/protocol split. The retired fast-forward's fields read 0.
+    // compute/protocol split, then the load-span refreshes and medium
+    // steps. The retired fast-forward's fields read 0.
     let (cluster, wl) = full_cell();
-    let pinned: [(&str, Option<Strategy>, [u64; 3]); 5] = [
-        // name, strategy, [events, compute, protocol]
-        ("noDLB", None, [16, 16, 0]),
-        ("GCDLB", Some(Strategy::Gcdlb), [381, 176, 205]),
-        ("GDDLB", Some(Strategy::Gddlb), [468, 182, 286]),
-        ("LCDLB", Some(Strategy::Lcdlb), [344, 151, 193]),
-        ("LDDLB", Some(Strategy::Lddlb), [390, 149, 241]),
+    let pinned: [(&str, Option<Strategy>, [u64; 5]); 5] = [
+        // name, strategy, [events, compute, protocol, spans, medium]
+        ("noDLB", None, [16, 16, 0, 0, 0]),
+        ("GCDLB", Some(Strategy::Gcdlb), [381, 176, 205, 32, 268]),
+        ("GDDLB", Some(Strategy::Gddlb), [468, 182, 286, 32, 1326]),
+        ("LCDLB", Some(Strategy::Lcdlb), [344, 151, 193, 32, 243]),
+        ("LDDLB", Some(Strategy::Lddlb), [390, 149, 241, 32, 584]),
     ];
-    for (name, strategy, [events, compute, protocol]) in pinned {
+    for (name, strategy, [events, compute, protocol, spans, medium]) in pinned {
         let cfg = strategy.map(|s| StrategyConfig::paper(s, 8));
         let (report, counters) = Engine::new(cluster.clone(), &wl, cfg)
             .with_mode(EngineMode::Episode)
@@ -448,6 +449,8 @@ fn episode_counters_are_pinned_on_the_full_cell() {
             compute_events: compute,
             heartbeat_events: 0,
             protocol_events: protocol,
+            span_refreshes: spans,
+            medium_steps: medium,
             ..EngineCounters::default()
         };
         assert_eq!(counters, expected, "{name}: episode event counts moved");
