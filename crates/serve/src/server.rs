@@ -371,7 +371,6 @@ impl RunServer {
             shared: Arc::clone(&self.shared),
             tx,
             pending: VecDeque::new(),
-            last_key: None,
         }
     }
 
@@ -406,27 +405,13 @@ pub struct ServeClient {
     shared: Arc<Shared>,
     tx: Sender<Job>,
     pending: VecDeque<PendingSlot>,
-    /// One-entry memo-key cache. Deriving the key means writing the
-    /// whole canonical spec through the hash — the dominant cost of a
-    /// warm hit — and a client that re-submits the spec it just sent
-    /// (polling, timing loops, probe-then-run patterns) shouldn't pay
-    /// it twice. Sound because `RunSpec`'s derived `PartialEq` covers
-    /// every field the canonical form reads.
-    last_key: Option<(RunSpec, MemoKey)>,
 }
 
 impl ServeClient {
     /// Submit a spec. Returns immediately; the response is queued for
     /// [`recv_response`](ServeClient::recv_response) in submit order.
     pub fn submit(&mut self, spec: &RunSpec) {
-        let key = match &self.last_key {
-            Some((cached, key)) if cached == spec => *key,
-            _ => {
-                let key = spec.memo_key();
-                self.last_key = Some((spec.clone(), key));
-                key
-            }
-        };
+        let key = spec.memo_key();
         let stats = &self.shared.stats;
 
         if !self.shared.memo.config().enabled() {
