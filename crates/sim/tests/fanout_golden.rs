@@ -14,9 +14,11 @@
 //!   events, one per balancer;
 //! * GDDLB and GCDLB at P=64 under a loss and delay plan: every message
 //!   draws its own loss decision, so the fan-out takes its per-message
-//!   fate path and every profile is its own delivery event; and both
-//!   again under a mild delay alone and a long watchdog, so the
-//!   broadcasts are stretched but none is lost;
+//!   fate path and every profile is its own delivery event; both again
+//!   under a mild delay alone and a long watchdog, so the broadcasts are
+//!   stretched but none is lost; and LCDLB (two-level hierarchy) and
+//!   flat LDDLB under the loss and delay plan, the local schemes'
+//!   per-message profile fan-in with lost profiles;
 //! * crash plans at P=16, where the heartbeat chain, death handling and
 //!   the rejoin handshake drive the fan-outs: a crash that recovers
 //!   before its detection (the `JoinRetry` chain), a flat GCDLB master
@@ -156,16 +158,21 @@ fn fanouts_under_fault_plans_are_pinned() {
         sync_timeout: 10.0,
         ..FailurePolicy::default()
     };
+    let paper = |s| StrategyConfig::paper(s, 8);
+    // Eight leaf groups under four level-1 domains of two.
+    let lcdlb2 = paper(Strategy::Lcdlb).with_hierarchy(2, 2);
+    let lossy = FailurePolicy::default();
     let actual: Vec<_> = [
-        ("GDDLB", Strategy::Gddlb, &plan, FailurePolicy::default()),
-        ("GCDLB", Strategy::Gcdlb, &plan, FailurePolicy::default()),
-        ("GDDLB delay", Strategy::Gddlb, &mild_delay, patient),
-        ("GCDLB delay", Strategy::Gcdlb, &mild_delay, patient),
+        ("GDDLB", paper(Strategy::Gddlb), &plan, lossy),
+        ("GCDLB", paper(Strategy::Gcdlb), &plan, lossy),
+        ("GDDLB delay", paper(Strategy::Gddlb), &mild_delay, patient),
+        ("GCDLB delay", paper(Strategy::Gcdlb), &mild_delay, patient),
+        ("LCDLB", lcdlb2, &plan, lossy),
+        ("LDDLB", paper(Strategy::Lddlb), &plan, lossy),
     ]
     .into_iter()
-    .map(|(name, s, plan, policy)| {
-        let engine = Engine::new(cluster.clone(), &wl, Some(StrategyConfig::paper(s, 8)))
-            .with_faults(plan.clone(), policy);
+    .map(|(name, cfg, plan, policy)| {
+        let engine = Engine::new(cluster.clone(), &wl, Some(cfg)).with_faults(plan.clone(), policy);
         let (d, c) = digest(engine);
         (name, d, c)
     })
@@ -275,6 +282,8 @@ const PINS_LOSSY_P64: &[(&str, &str, [u64; 6])] = &[
     ("GCDLB", "0aeb06be02a35a2f", [1127, 330, 0, 797, 768, 809]),
     ("GDDLB delay", "088f216e3ef4610e", [14269, 396, 0, 13873, 740, 13642]),
     ("GCDLB delay", "d30701d26994b325", [1170, 395, 0, 775, 633, 767]),
+    ("LCDLB", "49c8bf031fee8287", [1368, 424, 0, 944, 898, 866]),
+    ("LDDLB", "65ca89ce95430d2f", [2752, 368, 0, 2384, 768, 2190]),
 ];
 
 /// Report digest and counters of the P=16 crash-plan runs.
