@@ -92,15 +92,6 @@ use event::{Ev, EvKind, Key};
 use protocol::{GroupCtl, Payload};
 use substrate::Cpus;
 
-/// Per-iteration work message header bytes (range descriptors etc.).
-const WORK_HEADER_BYTES: usize = 16;
-/// Interrupt message payload bytes.
-const INTERRUPT_BYTES: usize = 8;
-/// Instruction (outcome broadcast) payload bytes.
-const INSTRUCTION_BYTES: usize = 24;
-/// Rejoin handshake (§S14 request/grant) payload bytes.
-const JOIN_BYTES: usize = 16;
-
 /// Σi and Σi² over executed iteration indices. Together with the
 /// iteration count they catch a run that executes one iteration twice
 /// and loses another, which the count alone accepts.

@@ -63,7 +63,7 @@ impl Engine<'_> {
             }
             Payload::Profile {
                 group,
-                profile,
+                sender,
                 episode,
             } => {
                 // Stale if the episode completed or aborted (None) or a
@@ -87,11 +87,10 @@ impl Engine<'_> {
                 // episode. Recording it would plan transfers to or from
                 // a non-participant, which never acts on them.
                 let member = |p: usize| ep.participants.binary_search(&p).is_ok();
-                if !member(profile.proc) || (self.control() == Control::Distributed && !member(to))
-                {
+                if !member(sender) || (self.control() == Control::Distributed && !member(to)) {
                     return;
                 }
-                self.record_profile(group, to, profile, now);
+                self.record_profile(group, to, sender, now);
             }
             Payload::Instruction {
                 group,

@@ -184,10 +184,7 @@ impl Engine<'_> {
                 self.promote_role(r);
                 for gg in tree.leaf_range(1, r) {
                     if let Some(e) = self.groups[gg].episode.as_mut() {
-                        if e.outcome.is_none() {
-                            e.profiles.clear();
-                            e.calc_central_scheduled = false;
-                        }
+                        e.forget_central();
                     }
                 }
             }
@@ -195,12 +192,9 @@ impl Engine<'_> {
             if let Some(new_master) = self.membership.promote(d) {
                 self.master = new_master;
             }
-            for gg in 0..self.groups.len() {
-                if let Some(e) = self.groups[gg].episode.as_mut() {
-                    if e.outcome.is_none() {
-                        e.profiles.clear();
-                        e.calc_central_scheduled = false;
-                    }
+            for gc in &mut self.groups {
+                if let Some(e) = gc.episode.as_mut() {
+                    e.forget_central();
                 }
             }
         }
@@ -346,10 +340,9 @@ impl Engine<'_> {
                 e.awaiting -= 1;
             }
             e.profiles.remove(&d);
-            e.sent_profiles.remove(&d);
-            e.local_profiles.remove(&d);
-            for profs in e.local_profiles.values_mut() {
-                profs.remove(&d);
+            e.received.remove(&d);
+            for senders in e.received.values_mut() {
+                senders.remove(&d);
             }
             e.calc_scheduled.remove(&d);
             (d_acted, e.outcome.clone(), Arc::clone(&e.participants))
@@ -390,13 +383,8 @@ impl Engine<'_> {
             Some(_) => {}
             None => {
                 // With d removed, the profile sets may now be complete.
-                match self.control() {
-                    Control::Centralized => self.try_calc_central(g, now),
-                    Control::Distributed => {
-                        for &m in participants.iter() {
-                            self.try_calc_local(g, m, now);
-                        }
-                    }
+                for b in self.balancers(g, &participants) {
+                    self.try_calc(g, b, now);
                 }
             }
         }
@@ -409,17 +397,7 @@ impl Engine<'_> {
     /// and unacted instructions.
     fn retransmit(&mut self, g: usize, now: f64) {
         let control = self.control();
-        let (
-            episode_id,
-            initiator,
-            participants,
-            profiled,
-            sent_profiles,
-            central_have,
-            local_have,
-            acted,
-            outcome,
-        ) = {
+        let (episode_id, initiator, participants, profiled, acted, outcome) = {
             let e = self.groups[g]
                 .episode
                 .as_ref()
@@ -432,12 +410,6 @@ impl Engine<'_> {
                     .iter()
                     .map(|&m| self.profiled_in[m] == e.id)
                     .collect::<Vec<bool>>(),
-                e.sent_profiles.clone(),
-                e.profiles.keys().copied().collect::<BTreeSet<usize>>(),
-                e.local_profiles
-                    .iter()
-                    .map(|(&m, profs)| (m, profs.keys().copied().collect::<BTreeSet<usize>>()))
-                    .collect::<BTreeMap<usize, BTreeSet<usize>>>(),
                 e.participants
                     .iter()
                     .map(|&m| self.acted_in[m] == e.id)
@@ -446,8 +418,8 @@ impl Engine<'_> {
             )
         };
         // Every liveness query below is about the initiator or a
-        // participant (sent_profiles keys are participants too — the
-        // fault fixup prunes dead ones), so the snapshot only needs the
+        // participant (profile senders are participants too — the fault
+        // fixup prunes dead ones), so the snapshot only needs the
         // episode's K members, not all P processors.
         let alive_set: BTreeSet<usize> = participants
             .iter()
@@ -468,8 +440,7 @@ impl Engine<'_> {
         // 1. Lost work shipments (sender-side copies).
         for (to, grp, ranges) in self.take_lost_work(|_, grp| grp == g) {
             self.faults.retries += 1;
-            let bytes = WORK_HEADER_BYTES + (ranges_len(&ranges) * self.bytes_per_iter) as usize;
-            self.send(sender, to, bytes, Payload::Work { group: grp, ranges }, now);
+            self.send(sender, to, Payload::Work { group: grp, ranges }, now);
         }
 
         // 2. Interrupts that never bit: a live participant still
@@ -484,7 +455,6 @@ impl Engine<'_> {
                 self.send(
                     sender,
                     m,
-                    INTERRUPT_BYTES,
                     Payload::Interrupt {
                         group: g,
                         epoch: self.membership_epoch,
@@ -494,56 +464,35 @@ impl Engine<'_> {
             }
         }
 
-        // 3. Profiles a balancer is missing, re-sent from the sender's
-        // copy (also repopulates a promoted master after balancer death).
-        match control {
-            Control::Centralized => {
-                let master = self.balancer_host(g);
-                for (&q, prof) in &sent_profiles {
-                    if !alive(q) || central_have.contains(&q) {
-                        continue;
-                    }
-                    self.faults.retries += 1;
-                    if q == master {
-                        self.record_central_profile(g, *prof, now);
-                    } else {
-                        self.send(
-                            q,
-                            master,
-                            PerfProfile::WIRE_BYTES,
-                            Payload::Profile {
-                                group: g,
-                                profile: *prof,
-                                episode: episode_id,
-                            },
-                            now,
-                        );
-                    }
-                }
-            }
-            Control::Distributed => {
-                for &m in participants.iter() {
-                    if !alive(m) {
-                        continue;
-                    }
-                    let have = local_have.get(&m);
-                    for (&q, prof) in &sent_profiles {
-                        if q == m || !alive(q) || have.is_some_and(|h| h.contains(&q)) {
-                            continue;
-                        }
-                        self.faults.retries += 1;
-                        self.send(
-                            q,
-                            m,
-                            PerfProfile::WIRE_BYTES,
-                            Payload::Profile {
-                                group: g,
-                                profile: *prof,
-                                episode: episode_id,
-                            },
-                            now,
-                        );
-                    }
+        // 3. Profiles a balancer lacks, re-sent from the sender's copy
+        // (also repopulates a promoted central balancer after its host
+        // died). Dead replicas are skipped; the central balancer is
+        // whichever processor hosts it now.
+        let mut balancers = self.balancers(g, &participants);
+        if control == Control::Distributed {
+            balancers.retain(|&b| alive(b));
+        }
+        for b in balancers {
+            let lacking: Vec<usize> = {
+                let e = self.groups[g].episode.as_ref().expect("episode above");
+                let have = e.received.get(&self.balancer_key(b));
+                e.profiles
+                    .keys()
+                    .copied()
+                    .filter(|&q| alive(q) && !have.is_some_and(|h| h.contains(&q)))
+                    .collect()
+            };
+            for q in lacking {
+                self.faults.retries += 1;
+                if q == b {
+                    self.record_profile(g, b, q, now);
+                } else {
+                    let profile = Payload::Profile {
+                        group: g,
+                        sender: q,
+                        episode: episode_id,
+                    };
+                    self.send(q, b, profile, now);
                 }
             }
         }
@@ -567,7 +516,6 @@ impl Engine<'_> {
                         self.send(
                             master,
                             m,
-                            INSTRUCTION_BYTES,
                             Payload::Instruction {
                                 group: g,
                                 outcome: Arc::clone(&out),

@@ -130,7 +130,7 @@ impl Engine<'_> {
             // Sole survivor scenarios: the comeback *is* the coordinator.
             self.request_admission(proc, now);
         } else {
-            self.send(proc, host, JOIN_BYTES, Payload::JoinRequest { proc }, now);
+            self.send(proc, host, Payload::JoinRequest { proc }, now);
             self.push_event(
                 now + self.policy.heartbeat_interval,
                 EvKind::JoinRetry { proc },
@@ -150,7 +150,7 @@ impl Engine<'_> {
             self.request_admission(proc, now);
             return;
         }
-        self.send(proc, host, JOIN_BYTES, Payload::JoinRequest { proc }, now);
+        self.send(proc, host, Payload::JoinRequest { proc }, now);
         if self.iters_done.iter().sum::<u64>() < self.workload.iterations() {
             self.push_event(
                 now + self.policy.heartbeat_interval,
@@ -247,17 +247,9 @@ impl Engine<'_> {
             if ranges.is_empty() {
                 continue;
             }
-            let bytes = WORK_HEADER_BYTES + (ranges_len(&ranges) * self.bytes_per_iter) as usize;
             // Exempt from loss/cuts: this shipment happens between
             // episodes, where no watchdog would ever retransmit it.
-            self.send_opts(
-                from,
-                q,
-                bytes,
-                Payload::Work { group: g, ranges },
-                now,
-                true,
-            );
+            self.send_opts(from, q, Payload::Work { group: g, ranges }, now, true);
         }
         let host = self.admission_host(q);
         if q == host {
@@ -266,7 +258,6 @@ impl Engine<'_> {
             self.send(
                 host,
                 q,
-                JOIN_BYTES,
                 Payload::JoinGrant {
                     epoch: self.membership_epoch,
                 },
