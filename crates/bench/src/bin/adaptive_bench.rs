@@ -21,8 +21,10 @@
 //! when it has nothing to do is exactly zero. All adaptive cells run in
 //! both engine modes and must agree byte for byte.
 //!
-//! Results land in `BENCH_adaptive.json` (override with `--out`).
-//! `--quick` runs only the P=16 cell and the control cell (CI smoke).
+//! The full run writes its results to the committed
+//! `BENCH_adaptive.json` (or to `--out`). `--quick` runs only the P=16
+//! cell and the control cell (CI smoke) and writes JSON only to an
+//! explicit `--out`.
 
 use dlb_bench::{format_table, Align};
 use dlb_core::strategy::{AdaptiveConfig, Strategy, StrategyConfig};
@@ -227,11 +229,11 @@ fn control_cell() -> bool {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let mut out = "BENCH_adaptive.json".to_string();
+    let mut out = (!quick).then(|| "BENCH_adaptive.json".to_string());
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--out" => out = it.next().expect("--out needs a path").clone(),
+            "--out" => out = Some(it.next().expect("--out needs a path").clone()),
             "--quick" => {}
             other => panic!("unknown argument {other:?}"),
         }
@@ -302,7 +304,9 @@ fn main() {
         cells,
         control_identical,
     };
-    let json = serde_json::to_string_pretty(&bench).expect("serialize bench");
-    std::fs::write(&out, format!("{json}\n")).expect("write bench output");
-    println!("wrote {out}");
+    if let Some(out) = out {
+        let json = serde_json::to_string_pretty(&bench).expect("serialize bench");
+        std::fs::write(&out, format!("{json}\n")).expect("write bench output");
+        println!("wrote {out}");
+    }
 }

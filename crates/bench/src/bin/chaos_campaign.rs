@@ -45,8 +45,10 @@
 //!    old-regime instruction that crossed the switch
 //!    (`stale_applied == 0`).
 //!
-//! Any violation is reported and the process exits nonzero. Results
-//! land in `BENCH_fault.json`.
+//! Any violation is reported and the process exits nonzero. The default
+//! campaign writes its results to the committed `BENCH_fault.json` (or
+//! to `--out`); a `--quick` run or one with `--procs`, `--start`,
+//! `--plans` or `--seed` writes JSON only to an explicit `--out`.
 //!
 //! The campaign's tallies (cells, detections, recoveries, rejoins, stale
 //! instructions, cut messages, switches, stale drops) are deterministic.
@@ -138,9 +140,6 @@ struct CampaignReport {
     memo_misses: u64,
     memo_coalesced: u64,
     simulations: u64,
-    /// Wall-clock of the campaign, seconds. Informational and never
-    /// gated: wall-time claims cite `perfbench`.
-    informational_wall_s: f64,
 }
 
 const KINDS: [&str; 9] = [
@@ -361,7 +360,9 @@ fn cell_specs(
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let mut out = "BENCH_fault.json".to_string();
+    let mut out: Option<String> = None;
+    // The default campaign is the one `BENCH_fault.json` captures.
+    let mut default_campaign = !quick;
     let mut plans: usize = if quick { 24 } else { 210 };
     let mut start: usize = 0;
     let mut seed: u64 = 0xC4A0_5CA1;
@@ -369,8 +370,9 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--out" => out = it.next().expect("--out needs a path").clone(),
+            "--out" => out = Some(it.next().expect("--out needs a path").clone()),
             "--procs" => {
+                default_campaign = false;
                 p = it
                     .next()
                     .expect("--procs needs a count")
@@ -379,6 +381,7 @@ fn main() {
                 assert!(p >= 2, "--procs must be at least 2");
             }
             "--start" => {
+                default_campaign = false;
                 start = it
                     .next()
                     .expect("--start needs an index")
@@ -386,6 +389,7 @@ fn main() {
                     .expect("--start needs a number");
             }
             "--plans" => {
+                default_campaign = false;
                 plans = it
                     .next()
                     .expect("--plans needs a count")
@@ -394,6 +398,7 @@ fn main() {
                 assert!(plans > 0, "--plans must be at least 1");
             }
             "--seed" => {
+                default_campaign = false;
                 seed = it
                     .next()
                     .expect("--seed needs a value")
@@ -404,6 +409,7 @@ fn main() {
             other => panic!("unknown argument {other:?}"),
         }
     }
+    let out = out.or_else(|| default_campaign.then(|| "BENCH_fault.json".to_string()));
 
     // Iterations scale with P (constant work per processor); at the
     // default P=4 this is the original 100-iteration cell, so existing
@@ -596,7 +602,7 @@ fn main() {
             .push("campaign: no rejoined processor ever executed work after admission".to_string());
     }
 
-    let informational_wall_s = t0.elapsed().as_secs_f64();
+    let wall_s = t0.elapsed().as_secs_f64();
     let stats = server.stats();
     let scenario_counts: Vec<String> = KINDS
         .iter()
@@ -623,17 +629,18 @@ fn main() {
         memo_misses: stats.misses,
         memo_coalesced: stats.coalesced,
         simulations: stats.simulations,
-        informational_wall_s,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialize campaign");
-    std::fs::write(&out, format!("{json}\n")).expect("write campaign output");
+    if let Some(out) = &out {
+        let json = serde_json::to_string_pretty(&report).expect("serialize campaign");
+        std::fs::write(out, format!("{json}\n")).expect("write campaign output");
+    }
 
     println!(
         "campaign: {runs} cells, {detections} detections, {recoveries} recoveries, \
          {rejoins} rejoins ({rejoins_with_work} with post-admission work), \
          {stale_instructions} stale instructions, {messages_cut} cut messages, \
          {strategy_switches} strategy switch(es) ({stale_dropped} stale drop(s)); \
-         wall {informational_wall_s:.1} s (informational, never gated)"
+         wall {wall_s:.1} s (informational, never gated)"
     );
     println!(
         "memo: {} hit(s), {} miss(es), {} coalesced — {} simulation(s) executed",
@@ -642,7 +649,9 @@ fn main() {
         stats.coalesced,
         stats.simulations
     );
-    println!("wrote {out}");
+    if let Some(out) = out {
+        println!("wrote {out}");
+    }
     if !violations.is_empty() {
         eprintln!("{} INVARIANT VIOLATION(S):", violations.len());
         for v in &violations {

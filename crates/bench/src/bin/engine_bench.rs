@@ -15,8 +15,9 @@
 //! bytes (the episode
 //! engine's correctness contract — CI fails if it trips). `--quick`
 //! scales the cell down for CI smoke; the default is the full Fig. 6
-//! cell (MXM R=3200, P=16). Results land in `BENCH_engine.json`
-//! (override with `--out`).
+//! cell (MXM R=3200, P=16). The full paper cell writes its results to
+//! the committed `BENCH_engine.json` (or to `--out`); any other cell
+//! writes JSON only to an explicit `--out`.
 //!
 //! The CI cells (`--quick`, `--quick --procs 256` and `--quick --procs
 //! 1024`) gate every counter of every run kind exactly against the
@@ -26,8 +27,8 @@
 //! that moves a count re-pins the table in its own diff. Other cells print their counts ungated; the
 //! full P=16 cell is pinned by the now-sim test
 //! `episode_counters_are_pinned_on_the_full_cell`. Wall time is
-//! measured by `perfbench`; the wall numbers here are informational and
-//! stay out of `BENCH_engine.json`: the aggregate wall, and per run kind
+//! measured by `perfbench`; the wall numbers here are informational,
+//! printed and never stored: the aggregate wall, and per run kind
 //! the episode run's wall time and that time divided by the run's
 //! control messages (its profiles, interrupts and instructions — at
 //! large P nearly all of them profile broadcasts).
@@ -139,9 +140,6 @@ struct EngineBench {
     runs: Vec<RunBench>,
     total_events_per_iter: u64,
     total_events_episode: u64,
-    /// Wall-clock of the whole bench, seconds. Informational and never
-    /// gated: wall-time claims cite `perfbench`.
-    informational_wall_s: f64,
 }
 
 /// `(kind.counter, value)` rows of every run kind, for [`check_pins`].
@@ -155,12 +153,12 @@ fn rows<'a>(kinds: impl IntoIterator<Item = (&'a str, [u64; 8])>) -> Vec<(String
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let mut out = "BENCH_engine.json".to_string();
+    let mut out: Option<String> = None;
     let mut procs_override: Option<usize> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--out" => out = it.next().expect("--out needs a path").clone(),
+            "--out" => out = Some(it.next().expect("--out needs a path").clone()),
             "--procs" => {
                 let p: usize = it
                     .next()
@@ -174,6 +172,8 @@ fn main() {
             other => panic!("unknown argument {other:?}"),
         }
     }
+    let full_paper_cell = !quick && procs_override.is_none();
+    let out = out.or_else(|| full_paper_cell.then(|| "BENCH_engine.json".to_string()));
 
     let (p, cfg) = match procs_override {
         // Large-P scaling cell: constant work per processor, so the
@@ -301,7 +301,7 @@ fn main() {
             identical: run_reference,
         });
     }
-    let informational_wall_s = t0.elapsed().as_secs_f64();
+    let wall_s = t0.elapsed().as_secs_f64();
 
     println!(
         "{}",
@@ -331,16 +331,17 @@ fn main() {
         total_events_per_iter: runs.iter().map(|r| r.events_per_iter).sum(),
         total_events_episode: runs.iter().map(|r| r.events_episode).sum(),
         runs,
-        informational_wall_s,
     };
     println!(
         "cell aggregate: {} reference events, {} episode events; \
-         wall {informational_wall_s:.3} s (informational, never gated)",
+         wall {wall_s:.3} s (informational, never gated)",
         bench.total_events_per_iter, bench.total_events_episode
     );
-    let json = serde_json::to_string_pretty(&bench).expect("serialize bench");
-    std::fs::write(&out, format!("{json}\n")).expect("write bench output");
-    println!("wrote {out}");
+    if let Some(out) = out {
+        let json = serde_json::to_string_pretty(&bench).expect("serialize bench");
+        std::fs::write(&out, format!("{json}\n")).expect("write bench output");
+        println!("wrote {out}");
+    }
 
     let pinned = PINS
         .iter()

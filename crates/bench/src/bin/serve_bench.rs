@@ -8,8 +8,9 @@
 //! serve_bench --replay [--quick]
 //! ```
 //!
-//! The default mode checks two things and records them in
-//! `BENCH_serve.json` (override with `--out`):
+//! The default mode checks two things and records them: the full run
+//! in the committed `BENCH_serve.json` (or in `--out`), a `--quick` run
+//! only in an explicit `--out`:
 //!
 //! 1. **Memo** — the heaviest Fig. 6 MXM cell spec, submitted to a fresh
 //!    memory-only server and then re-submitted `warm_samples` times. The
@@ -105,9 +106,6 @@ struct ServeBench {
     memo_disk_hits: u64,
     memo_coalesced: u64,
     grid: Vec<GridCell>,
-    /// Wall-clock of the whole bench, seconds. Informational and never
-    /// gated: wall-time claims cite `perfbench`.
-    informational_wall_s: f64,
 }
 
 /// The memo spec: the heaviest Fig. 6 cell (GDDLB on MXM R=3200,
@@ -276,11 +274,11 @@ fn main() {
         replay(quick);
         return;
     }
-    let mut out = "BENCH_serve.json".to_string();
+    let mut out = (!quick).then(|| "BENCH_serve.json".to_string());
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--out" => out = it.next().expect("--out needs a path").clone(),
+            "--out" => out = Some(it.next().expect("--out needs a path").clone()),
             "--quick" => {}
             other => panic!("unknown argument {other:?}"),
         }
@@ -317,8 +315,8 @@ fn main() {
 
     println!("grid determinism (memo off, byte-compared):");
     let (threads, grid) = grid_bench(quick);
-    let informational_wall_s = t0.elapsed().as_secs_f64();
-    println!("wall {informational_wall_s:.3} s (informational, never gated)");
+    let wall_s = t0.elapsed().as_secs_f64();
+    println!("wall {wall_s:.3} s (informational, never gated)");
 
     let mut actual = counter_rows(
         "memo.",
@@ -354,10 +352,11 @@ fn main() {
         memo_disk_hits: memo.disk_hits,
         memo_coalesced: memo.coalesced,
         grid,
-        informational_wall_s,
     };
-    let json = serde_json::to_string_pretty(&bench).expect("serialize bench");
-    std::fs::write(&out, format!("{json}\n")).expect("write bench output");
-    println!("wrote {out}");
+    if let Some(out) = out {
+        let json = serde_json::to_string_pretty(&bench).expect("serialize bench");
+        std::fs::write(&out, format!("{json}\n")).expect("write bench output");
+        println!("wrote {out}");
+    }
     check_pins(mode, pinned(mode), &actual);
 }
