@@ -111,6 +111,10 @@ const PINS: &[(&str, [u64; 9])] = &[
         "P=16 seed=0x2 plans=0..45",
         [270, 1050, 1020, 1003, 958, 40, 1954, 30, 63],
     ),
+    (
+        "P=64 seed=0x2 plans=0..45",
+        [270, 3930, 3900, 3582, 2881, 1558, 22685, 9, 758],
+    ),
 ];
 
 #[derive(Debug, Serialize)]

@@ -1,10 +1,15 @@
-//! Repro attempt: stale CalcCentral after master death + promotion fires
-//! with cleared central_profiles -> balance_group panics on empty slice.
+//! Balancer calculations that outlive the moment they were scheduled
+//! for: a stale `CalcCentral` after master death and promotion must not
+//! fire with a cleared profile set, and a calculation queued for an
+//! episode that a watchdog then aborts must not fire into the group's
+//! next episode. Either would reach `balance_group` with a profile set
+//! that is not the episode's, and an empty one panics.
+use customized_dlb::apps::MxmConfig;
 use customized_dlb::core::strategy::{Strategy, StrategyConfig};
-use customized_dlb::core::work::UniformLoop;
-use customized_dlb::fault::{DelaySpec, FailurePolicy, FaultPlan};
+use customized_dlb::core::work::{LoopWorkload, UniformLoop};
+use customized_dlb::fault::{DelaySpec, FailurePolicy, FaultPlan, StallSpec};
 use customized_dlb::load::LoadSpec;
-use customized_dlb::sim::{ClusterSpec, Engine};
+use customized_dlb::sim::{ClusterSpec, Engine, EngineMode};
 
 #[test]
 fn stale_calc_central_after_master_death() {
@@ -38,4 +43,32 @@ fn stale_calc_central_after_master_death() {
         .with_faults(plan, policy)
         .run();
     assert_eq!(report.total_iters, 400);
+}
+
+/// Plan 19 of `chaos_campaign --procs 64 --plans 45 --seed 2`, under
+/// LCDLB with a two-level hierarchy: proc 62 stalls long enough for its
+/// group's watchdog to abort an episode whose calculation is still
+/// queued behind the domain balancer's FIFO. That calculation must be
+/// dropped when it fires, not run against the group's next episode.
+#[test]
+fn calc_queued_for_an_aborted_episode_is_dropped() {
+    let p = 64;
+    let wl = MxmConfig::new(25 * p as u64, 400, 400).workload();
+    let cluster = ClusterSpec::paper_homogeneous(p, 0x0DB1_0ADE, 0.5);
+    let cfg = StrategyConfig::paper(Strategy::Lcdlb, 8).with_hierarchy(2, 8);
+    let plan = FaultPlan {
+        stalls: vec![StallSpec {
+            proc: 62,
+            from: 0.7025153956469277,
+            until: 1.6625794805411076,
+        }],
+        ..FaultPlan::default()
+    };
+    for mode in [EngineMode::PerIter, EngineMode::Episode] {
+        let report = Engine::new(cluster.clone(), &wl, Some(cfg))
+            .with_mode(mode)
+            .with_faults(plan.clone(), FailurePolicy::default())
+            .run();
+        assert_eq!(report.total_iters, wl.iterations());
+    }
 }
