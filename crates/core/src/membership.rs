@@ -108,12 +108,19 @@ impl Membership {
     /// held by `master`: `master` itself while alive, else the
     /// lowest-numbered survivor. `None` if everyone is dead.
     ///
-    /// O(#dead): the lowest survivor is the first gap in the sorted
-    /// death set.
+    /// O(#dead), as [`Membership::lowest_alive`].
     pub fn promote(&self, master: usize) -> Option<usize> {
         if !self.dead[master] {
             return Some(master);
         }
+        self.lowest_alive()
+    }
+
+    /// The lowest-numbered survivor, `None` if everyone is dead.
+    ///
+    /// O(#dead): the lowest survivor is the first gap in the sorted
+    /// death set.
+    pub fn lowest_alive(&self) -> Option<usize> {
         let mut candidate = 0usize;
         for &d in &self.dead_set {
             if d == candidate {
