@@ -115,8 +115,7 @@ impl Cell {
                 EvKind::IterDone { .. } => "iter-done",
                 EvKind::BlockDone { .. } => "block-done",
                 EvKind::SettleCheck { .. } => "settle-check",
-                EvKind::CalcCentral { .. } => "calc-central",
-                EvKind::CalcLocal { .. } => "calc-local",
+                EvKind::Calc { .. } => "calc",
                 EvKind::PeriodicTick => "periodic-tick",
                 _ => "fault",
             };

@@ -85,9 +85,15 @@ impl Engine<'_> {
                 // handled can land after the membership shrink removed
                 // the sender (or, distributed, the receiver) from the
                 // episode. Recording it would plan transfers to or from
-                // a non-participant, which never acts on them.
+                // a non-participant, which never acts on them. A central
+                // profile addressed to a host that has since lost the
+                // role is dropped too: the current host never got it.
                 let member = |p: usize| ep.participants.binary_search(&p).is_ok();
-                if !member(sender) || (self.control() == Control::Distributed && !member(to)) {
+                let balancer = match self.control() {
+                    Control::Centralized => to == self.balancer_host(group),
+                    Control::Distributed => member(to),
+                };
+                if !member(sender) || !balancer {
                     return;
                 }
                 self.record_profile(group, to, sender, now);
