@@ -96,8 +96,8 @@ const COUNTERS: [&str; 9] = [
 ];
 
 /// Exact tallies per campaign, one value per `COUNTERS` entry: the
-/// `--quick` CI campaign, the default campaign, and the P=16 seed-2
-/// campaign (CI).
+/// `--quick` CI campaign, the default campaign, and the P=16 and P=64
+/// seed-2 campaigns (CI).
 const PINS: &[(&str, [u64; 9])] = &[
     (
         "P=4 seed=0xc4a05ca1 plans=0..24",
@@ -113,7 +113,7 @@ const PINS: &[(&str, [u64; 9])] = &[
     ),
     (
         "P=64 seed=0x2 plans=0..45",
-        [270, 3930, 3900, 3582, 2881, 1558, 22685, 9, 758],
+        [270, 3930, 3900, 3571, 2903, 1586, 22685, 11, 700],
     ),
 ];
 
@@ -433,21 +433,29 @@ fn main() {
     // Groups stay K ≤ 8 so the group count grows with P; the local
     // strategies go hierarchical (§S16) once there are enough groups.
     let group = (p / 2).clamp(1, 8);
+    let paper = |s: Strategy| {
+        let cfg = StrategyConfig::paper(s, group);
+        if p >= 64 && s.scope() == dlb_core::Scope::Local {
+            cfg.with_hierarchy(2, 8)
+        } else {
+            cfg
+        }
+    };
     let mut cfgs: Vec<(String, RunKind)> = vec![("noDLB".into(), RunKind::NoDlb)];
     for s in Strategy::ALL {
-        let mut cfg = StrategyConfig::paper(s, group);
-        if p >= 64 && s.scope() == dlb_core::Scope::Local {
-            cfg = cfg.with_hierarchy(2, 8);
-        }
-        cfgs.push((s.to_string(), RunKind::Dlb { cfg }));
+        cfgs.push((s.to_string(), RunKind::Dlb { cfg: paper(s) }));
     }
     // §S17 adaptive switching under chaos: a tight observation window so
     // re-decisions (and hence epoch-guarded handovers) actually happen
-    // inside these short runs, on top of whatever the plan injects.
+    // inside these short runs, on top of whatever the plan injects. It
+    // starts on the same layout as the static LDDLB cell, so at P ≥ 64
+    // a switch to a global strategy hands the hierarchy over to the
+    // flat layout.
     cfgs.push((
         "adaptive".into(),
         RunKind::Adaptive {
             cfg: AdaptiveConfig {
+                initial: paper(Strategy::Lddlb),
                 window: 1,
                 min_episodes_between: 2,
                 ..AdaptiveConfig::paper(Strategy::Lddlb, group)

@@ -19,10 +19,11 @@
 //! 2. **Grid determinism** — real experiment cells (the full replica ×
 //!    strategy grid behind a figure) run on a 1-worker server and on an
 //!    N-worker server (N from `DLB_SERVE_THREADS`, default: available
-//!    parallelism), both memo-disabled, and are byte-compared. Grid
-//!    reassembly is positional, so the worker count must not change a
-//!    single output byte; the run fails if it does. Each server must
-//!    simulate every grid slot exactly once.
+//!    parallelism), both fresh memory-only servers, and are
+//!    byte-compared. Grid reassembly is positional, so the worker count
+//!    must not change a single output byte; the run fails if it does.
+//!    Every grid slot is a distinct spec, so each server must simulate
+//!    every slot exactly once.
 //!
 //! `--replay` is the CI cache-replay check instead: it runs a small MXM
 //! sweep twice against a fresh disk memo directory and asserts the two
@@ -148,12 +149,13 @@ fn trfd_grid(p: usize, cfg: TrfdConfig, which: TrfdLoop) -> Grid {
 }
 
 /// Serial-vs-parallel determinism on real experiment grids. Both servers
-/// run memo-disabled, so every grid slot simulates on each of them.
+/// start empty and every grid slot is a distinct spec, so every slot
+/// simulates on each of them.
 fn grid_bench(quick: bool) -> (usize, Vec<GridCell>) {
-    let serial = RunServer::new(ServeConfig::new(1, MemoConfig::disabled()));
+    let serial = RunServer::new(ServeConfig::new(1, MemoConfig::memory_only()));
     let parallel = RunServer::new(ServeConfig::new(
         ServeConfig::from_env().threads,
-        MemoConfig::disabled(),
+        MemoConfig::memory_only(),
     ));
     let grids: Vec<Grid> = if quick {
         vec![
@@ -313,7 +315,7 @@ fn main() {
         memo.simulations, memo.misses, memo.memory_hits, memo.disk_hits, memo.coalesced
     );
 
-    println!("grid determinism (memo off, byte-compared):");
+    println!("grid determinism (fresh servers, byte-compared):");
     let (threads, grid) = grid_bench(quick);
     let wall_s = t0.elapsed().as_secs_f64();
     println!("wall {wall_s:.3} s (informational, never gated)");

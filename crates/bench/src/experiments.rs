@@ -220,9 +220,9 @@ pub fn mxm_experiment(p: usize, cfg: MxmConfig) -> ExperimentResult {
     mxm_experiment_with(now_serve::global(), p, cfg)
 }
 
-/// [`mxm_experiment`] on an explicit server (memo-off single-worker for
-/// baselines, sized pools for benchmarks). Output is identical for every
-/// server configuration.
+/// [`mxm_experiment`] on an explicit server (a fresh one per check,
+/// sized pools for benchmarks). Output is identical for every server
+/// configuration.
 pub fn mxm_experiment_with(server: &RunServer, p: usize, cfg: MxmConfig) -> ExperimentResult {
     run_cell_on(
         server,

@@ -89,14 +89,6 @@ impl CostIndex {
     pub fn total(&self) -> f64 {
         *self.prefix.last().expect("prefix is never empty")
     }
-
-    /// Exclusive prefix sums (`prefix()[k]` = Σ costs of the first `k`
-    /// iterations). Feed a slice of this to
-    /// `now_load::WorkClock::iters_completed_by` to invert a wall-clock
-    /// window into an iteration count.
-    pub fn prefix(&self) -> &[f64] {
-        &self.prefix
-    }
 }
 
 /// A workload plus its [`CostIndex`]: same iteration semantics, O(1)

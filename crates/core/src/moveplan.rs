@@ -84,20 +84,6 @@ pub fn plan_transfers(old: &Distribution, new: &Distribution) -> Vec<Transfer> {
     plan
 }
 
-/// Number of messages needed to realize the plan — the model's `μ(j)`.
-pub fn message_count(plan: &[Transfer]) -> usize {
-    plan.len()
-}
-
-/// Senders in the plan, deduplicated — instruction-message recipients for
-/// the centralized schemes.
-pub fn senders(plan: &[Transfer]) -> Vec<usize> {
-    let mut s: Vec<usize> = plan.iter().map(|t| t.from).collect();
-    s.sort_unstable();
-    s.dedup();
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,15 +158,6 @@ mod tests {
             assert!(t.iters > 0);
             assert_ne!(t.from, t.to);
         }
-    }
-
-    #[test]
-    fn senders_deduplicated_and_sorted() {
-        let old = dist(&[50, 0, 0, 50]);
-        let new = dist(&[20, 30, 30, 20]);
-        let plan = plan_transfers(&old, &new);
-        let s = senders(&plan);
-        assert_eq!(s, vec![0, 3]);
     }
 
     #[test]

@@ -43,6 +43,15 @@ impl PerfProfile {
     pub const WIRE_BYTES: usize = 32;
 }
 
+/// On-the-wire size of a balancer's instruction message in bytes. The
+/// simulator costs instruction sends with it and the analytic model
+/// prices each planned transfer's instruction the same way.
+pub const INSTRUCTION_WIRE_BYTES: usize = 24;
+
+/// On-the-wire header of a work shipment in bytes (range descriptors);
+/// `bytes_per_iter` of array data per shipped iteration follows it.
+pub const WORK_HEADER_WIRE_BYTES: usize = 16;
+
 #[cfg(test)]
 mod tests {
     use super::*;

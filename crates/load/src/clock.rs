@@ -75,35 +75,6 @@ impl WorkClock {
     pub fn work_in_window(&self, t0: f64, t1: f64) -> f64 {
         self.speed * inverse_slowdown_integral(&self.load, t0, t1)
     }
-
-    /// Analytic inverse of chaining [`WorkClock::finish_time`] over a run
-    /// of iterations: how many whole iterations, started at `start`, have
-    /// completed by wall-clock `t`?
-    ///
-    /// `prefix` holds the exclusive cumulative costs of the run in
-    /// base-processor seconds (`prefix[0] = 0`, `prefix[k]` = cost of the
-    /// first `k` iterations — e.g. a slice of
-    /// `dlb_core::CostIndex::prefix`). The window `[start, t]` is
-    /// converted to base work via [`WorkClock::work_in_window`] and the
-    /// prefix is binary-searched for the last boundary inside it.
-    ///
-    /// The conversion integrates per load span instead of replaying the
-    /// per-iteration chain, so the count can disagree with the chain by at
-    /// most one iteration when `t` lands within float-reassociation
-    /// distance of a boundary (property-tested below). Callers that need
-    /// the chain's *exact* boundary (the simulator) keep the chained times
-    /// from [`ClockCursor`] and use this as a cross-check.
-    ///
-    /// # Panics
-    /// Panics if `t < start` or `prefix` is empty.
-    pub fn iters_completed_by(&self, start: f64, t: f64, prefix: &[f64]) -> u64 {
-        assert!(t >= start, "window end {t} precedes start {start}");
-        assert!(!prefix.is_empty(), "prefix must hold at least the 0 entry");
-        let w = self.work_in_window(start, t);
-        // First k whose cumulative cost exceeds the window's work; the
-        // k − 1 iterations before it completed. prefix[0] = 0 ≤ w always.
-        (prefix.partition_point(|&p| p <= w) - 1) as u64
-    }
 }
 
 /// Sequential evaluator for chained [`WorkClock::finish_time`] calls with
@@ -430,46 +401,6 @@ mod tests {
         assert_eq!(b.to_bits(), c.finish_time(displaced, 0.4).to_bits());
     }
 
-    // ------------------------------------------------------------------
-    // iters_completed_by: analytic inverse of the finish_time chain
-
-    /// Exclusive prefix sums of `costs`, left-to-right.
-    fn prefix_of(costs: &[f64]) -> Vec<f64> {
-        let mut p = vec![0.0];
-        let mut acc = 0.0;
-        for &c in costs {
-            acc += c;
-            p.push(acc);
-        }
-        p
-    }
-
-    #[test]
-    fn iters_completed_by_inverts_chain_on_trace() {
-        let c = WorkClock::new(trace(vec![1, 0, 4, 2], 0.5), 1.0);
-        let costs = [0.2, 0.2, 0.2, 0.2, 0.2];
-        let prefix = prefix_of(&costs);
-        let start = 0.0;
-        let mut t = start;
-        for (k, &w) in costs.iter().enumerate() {
-            t = c.finish_time(t, w);
-            let n = c.iters_completed_by(start, t, &prefix);
-            // At the k-th chained boundary exactly k+1 iterations are done
-            // (±1 at float-reassociation distance of the boundary).
-            assert!(
-                n.abs_diff(k as u64 + 1) <= 1,
-                "boundary {k}: inverse said {n}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "precedes")]
-    fn iters_completed_by_rejects_inverted_window() {
-        let c = WorkClock::new(LoadSpec::Zero, 1.0);
-        let _ = c.iters_completed_by(2.0, 1.0, &[0.0]);
-    }
-
     #[test]
     #[should_panic(expected = "work")]
     fn negative_work_rejected() {
@@ -488,64 +419,6 @@ mod tests {
         }
 
         proptest! {
-            /// iters_completed_by is the inverse of the finish_time chain
-            /// to within one iteration, at and between boundaries.
-            #[test]
-            fn prop_inverse_round_trips_within_one_iteration(
-                seed in any::<u64>(),
-                max in 0u32..6,
-                tl in 0.05f64..2.0,
-                speed in 0.5f64..4.0,
-                start in 0.0f64..5.0,
-                costs in prop::collection::vec(0.01f64..0.1, 1..120),
-            ) {
-                let c = rand_clock(seed, max, tl, speed);
-                let prefix = super::prefix_of(&costs);
-                let mut t = start;
-                for (k, &w) in costs.iter().enumerate() {
-                    let t_prev = t;
-                    t = c.finish_time(t, w);
-                    let done = k as u64 + 1;
-                    let at_boundary = c.iters_completed_by(start, t, &prefix);
-                    prop_assert!(
-                        at_boundary.abs_diff(done) <= 1,
-                        "boundary {k}: inverse {at_boundary} vs chain {done}"
-                    );
-                    let mid = 0.5 * (t_prev + t);
-                    let at_mid = c.iters_completed_by(start, mid, &prefix);
-                    // Mid-iteration: the k finished iterations, within one.
-                    prop_assert!(
-                        at_mid.abs_diff(k as u64) <= 1,
-                        "mid {k}: inverse {at_mid}"
-                    );
-                }
-            }
-
-            /// The inverse count never decreases as the window grows.
-            #[test]
-            fn prop_inverse_monotone_in_t(
-                seed in any::<u64>(),
-                max in 0u32..6,
-                tl in 0.05f64..2.0,
-                speed in 0.5f64..4.0,
-                start in 0.0f64..5.0,
-                costs in prop::collection::vec(0.01f64..0.1, 1..60),
-                steps in 2usize..40,
-            ) {
-                let c = rand_clock(seed, max, tl, speed);
-                let prefix = super::prefix_of(&costs);
-                let horizon = c.finish_time(start, *prefix.last().unwrap());
-                let mut prev = 0;
-                for s in 0..=steps {
-                    let t = start + (horizon - start) * s as f64 / steps as f64;
-                    let n = c.iters_completed_by(start, t, &prefix);
-                    prop_assert!(n >= prev, "count regressed: {n} < {prev}");
-                    prev = n;
-                }
-                // The full window completes the full run (within one).
-                prop_assert!(prev.abs_diff(costs.len() as u64) <= 1);
-            }
-
             /// The uniform-cost batch chain is bit-identical to repeated
             /// finish_time calls across load-level boundaries.
             #[test]

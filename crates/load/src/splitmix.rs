@@ -7,28 +7,15 @@
 //! produced by hashing `(seed, k)` through SplitMix64, which is stateless
 //! and O(1) per query.
 
-/// Stateless SplitMix64 generator.
+/// Stateless SplitMix64 hashing, as associated functions.
 ///
 /// `SplitMix64::mix(x)` is the finalizer of Vigna's splitmix64; it is a
 /// bijection on `u64` with excellent avalanche behaviour, which is all a
 /// discrete uniform load draw needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitMix64 {
-    state: u64,
-}
+pub struct SplitMix64;
 
 impl SplitMix64 {
-    /// Create a sequential generator starting from `seed`.
-    pub fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    /// Next value of the sequential stream.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
-        Self::mix(self.state)
-    }
-
     /// The stateless mixing finalizer: a bijection on `u64`.
     #[inline]
     pub fn mix(mut z: u64) -> u64 {
@@ -56,23 +43,6 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sequential_stream_is_deterministic() {
-        let mut a = SplitMix64::new(42);
-        let mut b = SplitMix64::new(42);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
-    fn different_seeds_diverge() {
-        let mut a = SplitMix64::new(1);
-        let mut b = SplitMix64::new(2);
-        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert_eq!(same, 0);
-    }
 
     #[test]
     fn mix_is_injective_on_a_sample() {

@@ -38,4 +38,4 @@ pub use decision::first_sync_progress;
 pub use decision::{choose_strategy, predicted_order, rank_agreement, DecisionReport};
 pub use observe::ObservedSystem;
 pub use predict::{predict, predict_all, predict_no_dlb, Prediction};
-pub use system::SystemModel;
+pub use system::{control_comm_model, SystemModel};

@@ -93,15 +93,10 @@ impl ObservedSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use now_net::{characterize, NetworkParams};
+    use now_net::NetworkParams;
 
     fn comm(p: usize) -> CommCostModel {
-        characterize(
-            NetworkParams::paper_ethernet(),
-            p.max(4),
-            crate::system::CONTROL_MSG_BYTES,
-        )
-        .model
+        crate::control_comm_model(NetworkParams::paper_ethernet(), p)
     }
 
     fn observed(rates: Vec<f64>) -> ObservedSystem {

@@ -2,7 +2,7 @@
 
 use crate::system::SystemModel;
 use dlb_core::balance::{balance_group, BalanceVerdict};
-use dlb_core::profile::PerfProfile;
+use dlb_core::profile::{PerfProfile, INSTRUCTION_WIRE_BYTES, WORK_HEADER_WIRE_BYTES};
 use dlb_core::strategy::{Control, Strategy, StrategyConfig};
 use dlb_core::work::LoopWorkload;
 use now_load::WorkClock;
@@ -14,10 +14,6 @@ use std::collections::HashMap;
 /// provably terminate (each round retires the first finisher's whole
 /// assignment), so hitting this indicates a bug.
 const MAX_SYNCS: u64 = 100_000;
-
-/// Wire sizes mirrored from the runtime protocol.
-const INSTRUCTION_BYTES: usize = 24;
-const WORK_HEADER_BYTES: usize = 16;
 
 /// The model's verdict for one strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -80,7 +76,7 @@ pub fn predict(
     // calculation plus an instruction send.
     let extra_delay = if strategy == Strategy::Lcdlb && groups.len() > 1 {
         (groups.len() - 1) as f64 / 2.0
-            * (system.calc_cost + system.comm.point_to_point(INSTRUCTION_BYTES))
+            * (system.calc_cost + system.comm.point_to_point(INSTRUCTION_WIRE_BYTES))
     } else {
         0.0
     };
@@ -249,7 +245,8 @@ fn predict_group(
         let mut ctl = sigma + system.calc_cost + extra_delay;
         if outcome.verdict == BalanceVerdict::Move && cfg.strategy.control() == Control::Centralized
         {
-            ctl += outcome.transfers.len() as f64 * system.comm.point_to_point(INSTRUCTION_BYTES);
+            ctl +=
+                outcome.transfers.len() as f64 * system.comm.point_to_point(INSTRUCTION_WIRE_BYTES);
         }
         let t_ctl = tj + ctl;
         overhead += ctl;
@@ -261,7 +258,7 @@ fn predict_group(
         if outcome.verdict == BalanceVerdict::Move {
             moved += outcome.moved;
             for t in &outcome.transfers {
-                resume[member_index[&t.to]] += system.comm.point_to_point(WORK_HEADER_BYTES)
+                resume[member_index[&t.to]] += system.comm.point_to_point(WORK_HEADER_WIRE_BYTES)
                     + t.iters as f64 * bytes_per_iter as f64 / net.bandwidth;
             }
             for &i in &alive {

@@ -22,7 +22,15 @@ pub struct SystemModel {
 }
 
 /// Message size used when characterizing the network for control traffic.
-pub const CONTROL_MSG_BYTES: usize = 64;
+const CONTROL_MSG_BYTES: usize = 64;
+
+/// The fitted communication cost model the strategy decision uses on `p`
+/// processors of network `net`: the off-line characterization (Section
+/// 6.1) with control-sized messages, fitted over at least four
+/// processors.
+pub fn control_comm_model(net: NetworkParams, p: usize) -> CommCostModel {
+    characterize(net, p.max(4), CONTROL_MSG_BYTES).model
+}
 
 impl SystemModel {
     /// Build from serializable pieces, running the off-line network
@@ -31,12 +39,10 @@ impl SystemModel {
         assert_eq!(speeds.len(), loads.len(), "speeds/loads length mismatch");
         assert!(!speeds.is_empty(), "need at least one processor");
         loads.iter().for_each(LoadSpec::validate);
-        let max = speeds.len().max(4);
-        let report = characterize(net, max, CONTROL_MSG_BYTES);
         Self {
+            comm: control_comm_model(net, speeds.len()),
             speeds,
             loads: loads.to_vec(),
-            comm: report.model,
             calc_cost: 1e-3,
         }
     }

@@ -271,14 +271,6 @@ impl MediumSim {
         self.send_port_free[from] = send_free;
         self.bus_free_at = bus_free;
     }
-
-    /// Forget all queueing state (ports and bus free immediately). Used
-    /// between independent pattern measurements.
-    pub fn reset(&mut self) {
-        self.bus_free_at = 0.0;
-        self.send_port_free.fill(0.0);
-        self.recv_port_free.fill(0.0);
-    }
 }
 
 #[cfg(test)]
@@ -372,11 +364,9 @@ mod tests {
 
     #[test]
     fn endpoint_factors_inflate_cpu_costs() {
-        let mut m = bus(2);
-        let p = *m.params();
-        let plain = m.send(0, 1, 0, 0.0);
-        m.reset();
-        let loaded = m.send_with_factors(
+        let p = NetworkParams::paper_ethernet();
+        let plain = bus(2).send(0, 1, 0, 0.0);
+        let loaded = bus(2).send_with_factors(
             0,
             1,
             0,
@@ -398,11 +388,11 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_queueing() {
-        let mut m = bus(2);
-        let _ = m.send(0, 1, 1 << 20, 0.0);
-        m.reset();
-        let t = m.send(0, 1, 100, 0.0);
+    fn a_fresh_medium_does_not_queue() {
+        let mut busy = bus(2);
+        let _ = busy.send(0, 1, 1 << 20, 0.0);
+        assert!(busy.send(0, 1, 100, 0.0).start > 0.0);
+        let t = bus(2).send(0, 1, 100, 0.0);
         assert_eq!(t.start, 0.0);
     }
 

@@ -41,14 +41,6 @@ impl Pattern {
             Pattern::AllToAll => "AA",
         }
     }
-
-    /// Number of point-to-point messages the pattern issues on `n` nodes.
-    pub fn message_count(&self, n: usize) -> usize {
-        match self {
-            Pattern::OneToAll | Pattern::AllToOne => n.saturating_sub(1),
-            Pattern::AllToAll => n * n.saturating_sub(1),
-        }
-    }
 }
 
 /// Execute `pattern` over `n` nodes with `bytes`-byte messages on a fresh
@@ -118,14 +110,6 @@ mod tests {
 
     fn eth() -> NetworkParams {
         NetworkParams::paper_ethernet()
-    }
-
-    #[test]
-    fn message_counts() {
-        assert_eq!(Pattern::OneToAll.message_count(16), 15);
-        assert_eq!(Pattern::AllToOne.message_count(16), 15);
-        assert_eq!(Pattern::AllToAll.message_count(16), 240);
-        assert_eq!(Pattern::AllToAll.message_count(1), 0);
     }
 
     #[test]

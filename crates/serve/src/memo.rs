@@ -35,21 +35,18 @@ pub enum Tier {
     Disk,
 }
 
-/// Which memo tiers a server uses.
-#[derive(Debug, Clone, Default)]
+/// Which memo tiers a server uses. The memory tier is always on.
+#[derive(Debug, Clone)]
 pub struct MemoConfig {
-    /// Keep results in an in-memory map (tier 1).
-    pub memory: bool,
     /// Persist results under this directory (tier 2).
     pub disk_dir: Option<PathBuf>,
 }
 
 impl MemoConfig {
-    /// Memory tier on; disk tier iff `DLB_MEMO_DIR` is set (the
-    /// directory is created on first write).
+    /// Disk tier iff `DLB_MEMO_DIR` is set (the directory is created on
+    /// first write).
     pub fn from_env() -> Self {
         Self {
-            memory: true,
             disk_dir: std::env::var("DLB_MEMO_DIR")
                 .ok()
                 .filter(|s| !s.is_empty())
@@ -57,34 +54,16 @@ impl MemoConfig {
         }
     }
 
-    /// No memoization at all: every request simulates. Benchmarks use
-    /// this to time the engine itself through the server path.
-    pub fn disabled() -> Self {
-        Self {
-            memory: false,
-            disk_dir: None,
-        }
-    }
-
     /// Memory tier only.
     pub fn memory_only() -> Self {
-        Self {
-            memory: true,
-            disk_dir: None,
-        }
+        Self { disk_dir: None }
     }
 
     /// Memory tier plus a disk store rooted at `dir`.
     pub fn disk(dir: impl Into<PathBuf>) -> Self {
         Self {
-            memory: true,
             disk_dir: Some(dir.into()),
         }
-    }
-
-    /// Whether any tier is enabled.
-    pub fn enabled(&self) -> bool {
-        self.memory || self.disk_dir.is_some()
     }
 }
 
@@ -92,20 +71,16 @@ impl MemoConfig {
 /// mutex-guarded map, the disk tier relies on atomic renames.
 #[derive(Debug)]
 pub struct MemoStore {
-    cfg: MemoConfig,
+    disk_dir: Option<PathBuf>,
     memory: Mutex<HashMap<u64, Arc<String>>>,
 }
 
 impl MemoStore {
     pub fn new(cfg: MemoConfig) -> Self {
         Self {
-            cfg,
+            disk_dir: cfg.disk_dir,
             memory: Mutex::new(HashMap::new()),
         }
-    }
-
-    pub fn config(&self) -> &MemoConfig {
-        &self.cfg
     }
 
     /// Look up `key` in both tiers. A disk hit is validated (header +
@@ -114,7 +89,7 @@ impl MemoStore {
         if let Some(bytes) = self.peek_memory(key) {
             return Some((bytes, Tier::Memory));
         }
-        if let Some(dir) = &self.cfg.disk_dir {
+        if let Some(dir) = &self.disk_dir {
             if let Some(bytes) = read_disk_entry(&entry_path(dir, key), key) {
                 let bytes = Arc::new(bytes);
                 self.put_memory(key, Arc::clone(&bytes));
@@ -127,33 +102,28 @@ impl MemoStore {
     /// Memory-tier-only probe — used for the re-check under the
     /// single-flight lock, which must stay cheap.
     pub fn peek_memory(&self, key: MemoKey) -> Option<Arc<String>> {
-        if !self.cfg.memory {
-            return None;
-        }
         self.memory.lock().unwrap().get(&key.0).cloned()
     }
 
-    /// Store `bytes` in the memory tier (no-op when disabled).
+    /// Store `bytes` in the memory tier.
     pub fn put_memory(&self, key: MemoKey, bytes: Arc<String>) {
-        if self.cfg.memory {
-            self.memory.lock().unwrap().insert(key.0, bytes);
-        }
+        self.memory.lock().unwrap().insert(key.0, bytes);
     }
 
-    /// Persist `bytes` in the disk tier (no-op when disabled). The
+    /// Persist `bytes` in the disk tier (no-op without one). The
     /// write is temp-file + rename, so concurrent writers of the same
     /// key (which by construction carry identical bytes) race benignly;
     /// persistence is best-effort and a full or read-only volume only
     /// costs future replays, never correctness.
     pub fn put_disk(&self, key: MemoKey, bytes: &str) {
-        if let Some(dir) = &self.cfg.disk_dir {
+        if let Some(dir) = &self.disk_dir {
             if let Err(e) = write_disk_entry(dir, key, bytes) {
                 eprintln!("now-serve: memo write for {key} failed: {e}");
             }
         }
     }
 
-    /// Store `bytes` in every enabled tier.
+    /// Store `bytes` in the memory tier and any disk tier.
     pub fn put(&self, key: MemoKey, bytes: Arc<String>) {
         self.put_disk(key, &bytes);
         self.put_memory(key, bytes);
@@ -242,14 +212,5 @@ mod tests {
         .unwrap();
         assert!(store.get(key).is_none(), "truncated payload must miss");
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disabled_never_stores() {
-        let store = MemoStore::new(MemoConfig::disabled());
-        let key = MemoKey(1);
-        store.put(key, Arc::new("x".into()));
-        assert!(store.get(key).is_none());
-        assert_eq!(store.memory_len(), 0);
     }
 }

@@ -52,10 +52,6 @@
 //! its message). The thread that ran the job, worker or helping client,
 //! keeps serving, and a later submission of the key simulates it
 //! afresh.
-//!
-//! A memo-disabled server (benchmarks timing the engine itself) skips
-//! all of this: every submission queues a job with a direct reply
-//! channel, so duplicates intentionally simulate again.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -199,13 +195,11 @@ impl ServeStats {
     }
 }
 
-/// A unit of work for the pool: simulate `spec` and either resolve a
-/// single flight (`key`) or answer one direct channel (memo disabled).
+/// A unit of work for the pool: simulate `spec` and resolve the single
+/// flight of `key`.
 struct Job {
     spec: RunSpec,
     key: MemoKey,
-    /// Memo-disabled path: reply straight to the submitting client.
-    direct: Option<Sender<ServeResponse>>,
 }
 
 struct Shared {
@@ -239,26 +233,15 @@ impl Shared {
         self.stats.simulations.fetch_add(1, Ordering::Relaxed);
         let Ok((bytes, counters)) = run else {
             // A panicked run publishes nothing. Removing the in-flight
-            // entry (or, memo disabled, dropping `job.direct`) drops
-            // every reply sender, which fails each requester's
-            // `recv_response`; the next submission simulates again.
-            if job.direct.is_none() {
-                self.inflight
-                    .lock()
-                    .expect("no run panics holding the in-flight lock")
-                    .remove(&job.key.0);
-            }
+            // entry drops every reply sender, which fails each
+            // requester's `recv_response`; the next submission
+            // simulates again.
+            self.inflight
+                .lock()
+                .expect("no run panics holding the in-flight lock")
+                .remove(&job.key.0);
             return;
         };
-
-        if let Some(direct) = job.direct {
-            let _ = direct.send(ServeResponse {
-                bytes,
-                counters: Some(counters),
-                source: Served::Simulated,
-            });
-            return;
-        }
 
         // Disk write before publication: once a request can see the
         // memory entry, the persistent tier already has it.
@@ -414,19 +397,6 @@ impl ServeClient {
         let key = spec.memo_key();
         let stats = &self.shared.stats;
 
-        if !self.shared.memo.config().enabled() {
-            // Benchmark path: no dedup, every submission simulates.
-            stats.misses.fetch_add(1, Ordering::Relaxed);
-            let (rtx, rrx) = channel();
-            self.send_job(Job {
-                spec: spec.clone(),
-                key,
-                direct: Some(rtx),
-            });
-            self.pending.push_back(PendingSlot::Wait(rrx, key));
-            return;
-        }
-
         // Fast path: memo probe without the in-flight lock.
         if let Some((bytes, tier)) = self.shared.memo.get(key) {
             let source = match tier {
@@ -476,17 +446,12 @@ impl ServeClient {
             }
         };
         if lead {
-            self.send_job(Job {
-                spec: spec.clone(),
-                key,
-                direct: None,
-            });
+            let spec = spec.clone();
+            self.tx
+                .send(Job { spec, key })
+                .expect("server workers alive");
         }
         self.pending.push_back(PendingSlot::Wait(rrx, key));
-    }
-
-    fn send_job(&self, job: Job) {
-        self.tx.send(job).expect("server workers alive");
     }
 
     /// Outstanding responses not yet received.
@@ -645,22 +610,35 @@ mod tests {
     }
 
     #[test]
-    fn direct_job_panic_fails_its_requester_and_the_helper_serves_on() {
-        let server = RunServer::without_workers(MemoConfig::disabled());
+    fn helped_panic_fails_its_requester_and_the_helper_serves_on() {
+        let server = RunServer::without_workers(MemoConfig::memory_only());
         let bad = spec(105).with_faults(FaultPlan::crash(99, 0.1), FailurePolicy::default());
         let good = spec(106);
         let mut client = server.client();
         client.submit(&bad);
         client.submit(&good);
 
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| client.recv_response()))
+        let err = client
+            .try_recv_response()
             .expect_err("a panicking run has no response");
-        let msg = err.downcast_ref::<String>().expect("formatted message");
-        assert!(msg.contains(&bad.memo_key().to_string()), "{msg}");
+        assert_eq!(
+            err,
+            RunFailed {
+                key: bad.memo_key()
+            }
+        );
 
         let resp = client.recv_response();
         assert_eq!(*resp.bytes, reference(&good));
         let st = server.stats();
         assert_eq!((st.misses, st.simulations, st.helped), (2, 2, 2));
+        assert_eq!(server.memo_len(), 1, "the panicked run published nothing");
+
+        // The failed key is not in flight any more: resubmitting it
+        // simulates again.
+        client.submit(&bad);
+        assert!(client.try_recv_response().is_err());
+        let st = server.stats();
+        assert_eq!((st.misses, st.simulations, st.helped), (3, 3, 3));
     }
 }

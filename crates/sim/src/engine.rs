@@ -57,7 +57,7 @@ use crate::report::{ProcSummary, RunReport};
 use dlb_core::balance::{balance_group, BalanceOutcome, BalanceVerdict};
 use dlb_core::membership::Membership;
 use dlb_core::moveplan::Transfer;
-use dlb_core::profile::PerfProfile;
+use dlb_core::profile::{PerfProfile, INSTRUCTION_WIRE_BYTES, WORK_HEADER_WIRE_BYTES};
 use dlb_core::recovery::split_ranges;
 use dlb_core::strategy::{Control, StrategyConfig};
 use dlb_core::work::LoopWorkload;

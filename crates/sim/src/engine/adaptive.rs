@@ -53,9 +53,8 @@
 use super::*;
 use crate::report::{AdaptiveReport, SwitchRecord};
 use dlb_core::strategy::{AdaptiveConfig, Strategy};
-use dlb_model::system::CONTROL_MSG_BYTES;
-use dlb_model::ObservedSystem;
-use now_net::{characterize, CommCostModel};
+use dlb_model::{control_comm_model, ObservedSystem};
+use now_net::CommCostModel;
 
 /// Floor for an observed rate: a live processor that executed nothing in
 /// the window (e.g. it was admitted mid-window) still needs a positive
@@ -124,7 +123,7 @@ impl<'w> Engine<'w> {
             "engine strategy must match the adaptive initial strategy"
         );
         let p = self.cluster.processors();
-        let comm = characterize(self.cluster.net, p.max(4), CONTROL_MSG_BYTES).model;
+        let comm = control_comm_model(self.cluster.net, p);
         self.adaptive = Some(AdaptiveState {
             report: AdaptiveReport {
                 decisions: 0,

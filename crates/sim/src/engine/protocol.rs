@@ -125,15 +125,18 @@ pub(super) enum Payload {
 
 impl Payload {
     /// The message's size on the wire in bytes: a fixed size for each
-    /// control message, and for a work shipment a 16-byte header (range
+    /// control message, and for a work shipment a header (range
     /// descriptors etc.) plus `bytes_per_iter` of array data per
-    /// iteration.
+    /// iteration. The sizes the analytic model also prices come from
+    /// `dlb_core::profile`.
     pub(super) fn wire_bytes(&self, bytes_per_iter: u64) -> usize {
         match self {
             Payload::Interrupt { .. } => 8,
             Payload::Profile { .. } => PerfProfile::WIRE_BYTES,
-            Payload::Instruction { .. } => 24,
-            Payload::Work { ranges, .. } => 16 + (ranges_len(ranges) * bytes_per_iter) as usize,
+            Payload::Instruction { .. } => INSTRUCTION_WIRE_BYTES,
+            Payload::Work { ranges, .. } => {
+                WORK_HEADER_WIRE_BYTES + (ranges_len(ranges) * bytes_per_iter) as usize
+            }
             Payload::JoinRequest { .. } | Payload::JoinGrant { .. } => 16,
         }
     }

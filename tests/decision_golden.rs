@@ -119,7 +119,7 @@ fn table_decisions_are_pinned() {
 /// equals the one built here.
 #[test]
 fn pinned_cells_match_the_table_experiments() {
-    let server = RunServer::new(ServeConfig::new(1, MemoConfig::disabled()));
+    let server = RunServer::new(ServeConfig::new(1, MemoConfig::memory_only()));
     let cells = cells();
     let mxm = MxmConfig::paper_configs(4)[0];
     let table1 = mxm_experiment_with(&server, 4, mxm);

@@ -5,8 +5,9 @@
 //! scheduling must never leak into experiment output; a reviewer
 //! rerunning a figure on a bigger machine has to get the same numbers.
 //!
-//! The memo is disabled throughout so every run actually exercises the
-//! engine; cache correctness has its own suite in `crates/serve/tests`.
+//! Every server is fresh and every cell's specs are distinct, so each run
+//! actually exercises the engine; cache correctness has its own suite in
+//! `crates/serve/tests`.
 
 use customized_dlb::prelude::*;
 use dlb_bench::{
@@ -25,7 +26,7 @@ fn trfd_cfg() -> TrfdConfig {
 }
 
 fn server(threads: usize) -> RunServer {
-    RunServer::new(ServeConfig::new(threads, MemoConfig::disabled()))
+    RunServer::new(ServeConfig::new(threads, MemoConfig::memory_only()))
 }
 
 #[test]
