@@ -74,7 +74,7 @@ use now_fault::{
 use now_serve::{RunKind, RunSpec, ServeResponse, WorkloadSpec};
 use now_sim::{ClusterSpec, EngineMode, RunReport};
 use serde::Serialize;
-use std::sync::mpsc;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 /// Wall-clock ceiling for one (plan, strategy) cell — two engine
@@ -96,8 +96,8 @@ const COUNTERS: [&str; 9] = [
 ];
 
 /// Exact tallies per campaign, one value per `COUNTERS` entry: the
-/// `--quick` CI campaign, the default campaign, and the P=16 and P=64
-/// seed-2 campaigns (CI).
+/// `--quick` CI campaign, the default campaign, the P=16 and P=64
+/// seed-2 campaigns and the P=256 seed-3 campaign (CI).
 const PINS: &[(&str, [u64; 9])] = &[
     (
         "P=4 seed=0xc4a05ca1 plans=0..24",
@@ -109,11 +109,15 @@ const PINS: &[(&str, [u64; 9])] = &[
     ),
     (
         "P=16 seed=0x2 plans=0..45",
-        [270, 1050, 1020, 1003, 958, 40, 1954, 30, 63],
+        [270, 1050, 1020, 1003, 958, 43, 1954, 30, 64],
     ),
     (
         "P=64 seed=0x2 plans=0..45",
         [270, 3930, 3900, 3571, 2903, 1586, 22685, 11, 700],
+    ),
+    (
+        "P=256 seed=0x3 plans=0..12",
+        [72, 3096, 3090, 3004, 2183, 536, 34651, 8, 2242],
     ),
 ];
 
@@ -516,8 +520,13 @@ fn main() {
             }
             let responses = match rx.recv_timeout(CELL_TIMEOUT) {
                 Ok(r) => r,
-                Err(_) => {
+                Err(RecvTimeoutError::Timeout) => {
                     eprintln!("VIOLATION: {tag}: run did not terminate within {CELL_TIMEOUT:?}");
+                    std::process::exit(1);
+                }
+                // The submitting thread died: a run panicked in the server.
+                Err(RecvTimeoutError::Disconnected) => {
+                    eprintln!("VIOLATION: {tag}: run panicked");
                     std::process::exit(1);
                 }
             };

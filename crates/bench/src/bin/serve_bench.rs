@@ -97,8 +97,6 @@ struct GridCell {
 #[derive(Debug, Serialize)]
 struct ServeBench {
     mode: String,
-    /// Worker threads in the parallel grid server.
-    threads: usize,
     /// Memo-phase requests after the first: each must be a memory hit.
     warm_samples: u64,
     memo_simulations: u64,
@@ -150,13 +148,18 @@ fn trfd_grid(p: usize, cfg: TrfdConfig, which: TrfdLoop) -> Grid {
 
 /// Serial-vs-parallel determinism on real experiment grids. Both servers
 /// start empty and every grid slot is a distinct spec, so every slot
-/// simulates on each of them.
-fn grid_bench(quick: bool) -> (usize, Vec<GridCell>) {
+/// simulates on each of them. The parallel server's thread count comes
+/// from the host, so it is printed, not written to the JSON.
+fn grid_bench(quick: bool) -> Vec<GridCell> {
     let serial = RunServer::new(ServeConfig::new(1, MemoConfig::memory_only()));
     let parallel = RunServer::new(ServeConfig::new(
         ServeConfig::from_env().threads,
         MemoConfig::memory_only(),
     ));
+    println!(
+        "  parallel server: {} worker thread(s) (informational, not in the JSON)",
+        parallel.threads()
+    );
     let grids: Vec<Grid> = if quick {
         vec![
             mxm_grid(4, MxmConfig::new(100, 400, 400)),
@@ -175,7 +178,7 @@ fn grid_bench(quick: bool) -> (usize, Vec<GridCell>) {
         let out = (grid.run)(server);
         (out, server.stats().simulations - before)
     };
-    let cells = grids
+    grids
         .iter()
         .map(|grid| {
             let (serial_out, serial_simulations) = run(&serial, grid);
@@ -196,8 +199,7 @@ fn grid_bench(quick: bool) -> (usize, Vec<GridCell>) {
                 parallel_simulations,
             }
         })
-        .collect();
-    (parallel.threads(), cells)
+        .collect()
 }
 
 /// CI cache-replay check: the same small sweep twice against one fresh
@@ -316,7 +318,7 @@ fn main() {
     );
 
     println!("grid determinism (fresh servers, byte-compared):");
-    let (threads, grid) = grid_bench(quick);
+    let grid = grid_bench(quick);
     let wall_s = t0.elapsed().as_secs_f64();
     println!("wall {wall_s:.3} s (informational, never gated)");
 
@@ -346,7 +348,6 @@ fn main() {
     }
     let bench = ServeBench {
         mode: mode.to_string(),
-        threads,
         warm_samples,
         memo_simulations: memo.simulations,
         memo_misses: memo.misses,

@@ -674,7 +674,8 @@ impl<'w> Engine<'w> {
         (report, self.counters)
     }
 
-    /// Run one event's handler.
+    /// Run one event's handler, then the §S17 switch one of its episode
+    /// boundaries chose: the layout changes only between events.
     fn dispatch(&mut self, ev: Ev) {
         let now = ev.key.time;
         match ev.kind {
@@ -690,6 +691,9 @@ impl<'w> Engine<'w> {
             EvKind::Heartbeat => self.on_heartbeat(now),
             EvKind::Watchdog { group, id } => self.on_watchdog(group, id, now),
             EvKind::ProfilesIn { group, at } => self.schedule_calc(group, at, now),
+        }
+        if self.switch_pending() {
+            self.switch_between_events(now);
         }
     }
 

@@ -26,7 +26,10 @@
 //!   a *globally quiescent* boundary (no group mid-episode) over a
 //!   *stable* observation (no active partition, ≥ 2 live processors).
 //!   Anything else defers the consultation to a later boundary.
-//! * **Hand over.** A switch (a) bumps `membership_epoch`, so every
+//! * **Hand over.** The boundary only records the switch it chose; the
+//!   engine performs it when the event's handler has returned, so the
+//!   layout changes only between events (`Engine::dispatch`). A switch
+//!   (a) bumps `membership_epoch`, so every
 //!   in-flight Instruction and Interrupt stamped under the old regime is
 //!   dropped by the staleness guards (§S14 machinery reused verbatim);
 //!   (b) rebuilds the group structure for the new strategy from the
@@ -86,6 +89,9 @@ pub(super) struct AdaptiveState {
     window_start_time: f64,
     /// Per-processor `iters_done` snapshot at the window anchor.
     window_start_iters: Vec<u64>,
+    /// The switch an episode boundary of the current event chose,
+    /// performed once its handler returns.
+    pending: Option<SwitchRecord>,
     /// Accounting folded into the final [`RunReport`].
     pub(super) report: AdaptiveReport,
 }
@@ -140,20 +146,37 @@ impl<'w> Engine<'w> {
             window_episodes: 0,
             window_start_time: 0.0,
             window_start_iters: vec![0; p],
+            pending: None,
         });
         self
     }
 
-    /// The common tail of every episode boundary (close or abort): run the adaptive re-decision hook, then
-    /// drain parked rejoiners and initiators. After a switch the group
-    /// structure changed, so *every* new group's parked queues drain —
-    /// the caller's group index belongs to the old regime.
+    /// The common tail of every episode boundary (close or abort): run
+    /// the adaptive re-decision hook, then drain group `g`'s parked
+    /// rejoiners and initiators — unless a switch is pending, whose
+    /// new layout [`Engine::switch_between_events`] drains whole.
     pub(super) fn episode_boundary_tail(&mut self, g: usize, now: f64) {
-        if self.adaptive_boundary(now) {
-            for gg in 0..self.groups.len() {
-                self.drain_boundary(gg, now);
-            }
-        } else {
+        self.adaptive_boundary(now);
+        if !self.switch_pending() {
+            self.drain_boundary(g, now);
+        }
+    }
+
+    /// Whether an episode boundary of the current event chose a switch.
+    pub(super) fn switch_pending(&self) -> bool {
+        self.adaptive.as_ref().is_some_and(|a| a.pending.is_some())
+    }
+
+    /// Perform the pending switch, then drain every group of the new
+    /// layout. `dispatch` calls it once the event's handler has
+    /// returned: the one place the layout changes after construction,
+    /// so no handler holds a group index across a switch.
+    pub(super) fn switch_between_events(&mut self, now: f64) {
+        let mut a = self.adaptive.take().expect("a pending switch");
+        let rec = a.pending.take().expect("a pending switch");
+        self.perform_switch(&mut a, rec);
+        self.adaptive = Some(a);
+        for g in 0..self.groups.len() {
             self.drain_boundary(g, now);
         }
     }
@@ -191,18 +214,18 @@ impl<'w> Engine<'w> {
         }
     }
 
-    /// The adaptive hook at one episode boundary. Returns `true` iff a
-    /// strategy switch was performed (the caller must then treat its
-    /// group index as stale).
-    fn adaptive_boundary(&mut self, now: f64) -> bool {
+    /// The adaptive hook at one episode boundary: record the switch it
+    /// chooses, if any, as pending.
+    fn adaptive_boundary(&mut self, now: f64) {
         // Take/restore: the decision logic reads broad engine state
         // while mutating the adaptive accounting.
         let Some(mut a) = self.adaptive.take() else {
-            return false;
+            return;
         };
-        let switched = self.adaptive_boundary_inner(&mut a, now);
+        if let Some(rec) = self.adaptive_boundary_inner(&mut a, now) {
+            a.pending = Some(rec);
+        }
         self.adaptive = Some(a);
-        switched
     }
 
     /// Iterations `m` has finished executing at `now`, independent of
@@ -226,12 +249,12 @@ impl<'w> Engine<'w> {
             .collect()
     }
 
-    fn adaptive_boundary_inner(&mut self, a: &mut AdaptiveState, now: f64) -> bool {
+    fn adaptive_boundary_inner(&mut self, a: &mut AdaptiveState, now: f64) -> Option<SwitchRecord> {
         a.window_episodes = a.window_episodes.saturating_add(1);
         a.episodes_since_switch = a.episodes_since_switch.saturating_add(1);
         if a.window_episodes < a.cfg.window || a.episodes_since_switch < a.cfg.min_episodes_between
         {
-            return false;
+            return None;
         }
         if self.groups.iter().any(|gc| gc.episode.is_some()) {
             // Another group is mid-episode: a switch would tear the
@@ -239,16 +262,16 @@ impl<'w> Engine<'w> {
             // Keep the window (the measurement is fine) and retry at a
             // globally quiescent boundary.
             a.report.deferred += 1;
-            return false;
+            return None;
         }
         let elapsed = now - a.window_start_time;
         if elapsed <= 0.0 {
-            return false;
+            return None;
         }
         let eff = self.logical_done_all(now);
         let remaining = self.workload.iterations() - eff.iter().sum::<u64>();
         if remaining == 0 {
-            return false; // the run is over; nothing left to re-decide
+            return None; // the run is over; nothing left to re-decide
         }
         let p = self.cluster.processors();
         let mut rates = Vec::with_capacity(p);
@@ -265,7 +288,7 @@ impl<'w> Engine<'w> {
             // would not stay bounded. Keep measuring and retry at a later
             // boundary.
             a.report.deferred += 1;
-            return false;
+            return None;
         }
         let floor = (max_rate * REL_RATE_FLOOR).max(RATE_FLOOR);
         for r in &mut rates {
@@ -286,7 +309,7 @@ impl<'w> Engine<'w> {
             // its rates are contaminated — and start measuring afresh.
             a.report.deferred += 1;
             a.reset_window(now, &eff);
-            return false;
+            return None;
         }
         let cfg = self.cfg.as_ref().expect("adaptive runs require DLB");
         let current = cfg.strategy;
@@ -295,7 +318,7 @@ impl<'w> Engine<'w> {
         a.reset_window(now, &eff);
         let chosen = decision.chosen;
         if chosen == current {
-            return false;
+            return None;
         }
         let pred = |s: Strategy| {
             decision
@@ -305,35 +328,36 @@ impl<'w> Engine<'w> {
                 .map(|pr| pr.total_time)
         };
         let (Some(pc), Some(pn)) = (pred(current), pred(chosen)) else {
-            return false;
+            return None;
         };
         if !(pc.is_finite() && pn.is_finite() && pn < (1.0 - a.cfg.hysteresis) * pc) {
-            return false;
+            return None;
         }
         // Amortization guard: if the incumbent's predicted remaining time
         // is shorter than the observation window that produced it, the
         // run is in its endgame — a handover (epoch bump, role re-seed)
         // cannot recoup its disruption before the work runs out.
         if pc <= elapsed {
-            return false;
+            return None;
         }
-        self.perform_switch(a, chosen, pc, pn, now);
-        true
+        Some(SwitchRecord {
+            at: now,
+            episode: self.episode_seq,
+            from: current,
+            to: chosen,
+            predicted_current: pc,
+            predicted_new: pn,
+        })
     }
 
-    /// Execute the handover to `to`. Caller guarantees global quiescence
-    /// (all episodes closed) and at least two live processors.
-    fn perform_switch(
-        &mut self,
-        a: &mut AdaptiveState,
-        to: Strategy,
-        predicted_current: f64,
-        predicted_new: f64,
-        now: f64,
-    ) {
+    /// Execute the handover `rec` records. The boundary that chose it
+    /// saw global quiescence (all episodes closed) and at least two live
+    /// processors.
+    fn perform_switch(&mut self, a: &mut AdaptiveState, rec: SwitchRecord) {
         if self.groups.iter().any(|gc| gc.episode.is_some()) {
             // Unreachable: the boundary check already required global
-            // quiescence. Counted (never silently tolerated) so the
+            // quiescence, and no episode opens before its event's handler
+            // returns. Counted (never silently tolerated) so the
             // chaos campaign can machine-check the invariant stays zero.
             a.report.mid_episode_switches += 1;
             return;
@@ -352,7 +376,7 @@ impl<'w> Engine<'w> {
         );
         self.membership_epoch += 1;
         let cfg = self.cfg.as_mut().expect("adaptive runs require DLB");
-        let from = std::mem::replace(&mut cfg.strategy, to);
+        cfg.strategy = rec.to;
         let p = self.cluster.processors();
 
         // Exact membership preservation: whoever is in some group now
@@ -388,18 +412,10 @@ impl<'w> Engine<'w> {
         for &q in &parked_initiators {
             self.groups[self.proc_group[q]].pending_initiators.insert(q);
         }
-
-        a.report.switches.push(SwitchRecord {
-            at: now,
-            episode: self.episode_seq,
-            from,
-            to,
-            predicted_current,
-            predicted_new,
-        });
-        a.report.final_strategy = to;
+        a.report.final_strategy = rec.to;
         a.episodes_since_switch = 0;
-        let eff = self.logical_done_all(now);
-        a.reset_window(now, &eff);
+        let eff = self.logical_done_all(rec.at);
+        a.reset_window(rec.at, &eff);
+        a.report.switches.push(rec);
     }
 }

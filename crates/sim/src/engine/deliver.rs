@@ -47,9 +47,8 @@ impl Engine<'_> {
                     // queued to initiate the next one — but a peer beat it
                     // to it: join the peer's episode instead.
                     ProcState::IdlePending => {
-                        let join = self.groups[group]
-                            .episode
-                            .as_ref()
+                        let join = self
+                            .episode(group)
                             .is_some_and(|e| self.profiled_in[to] != e.id);
                         if join {
                             self.groups[group].pending_initiators.remove(&to);
@@ -69,16 +68,8 @@ impl Engine<'_> {
                 // Stale if the episode completed or aborted (None) or a
                 // fresh one replaced it (id mismatch) — a retransmission
                 // duplicate's snapshot must not seed the next episode's
-                // balance calculation. Episode ids are engine-global, so
-                // an old-regime profile can never match a post-switch
-                // episode; `get` covers a group index that a §S17 switch
-                // dropped from the group list entirely.
-                let Some(ep) = self
-                    .groups
-                    .get(group)
-                    .and_then(|gc| gc.episode.as_ref())
-                    .filter(|e| e.id == episode)
-                else {
+                // balance calculation.
+                let Some(ep) = self.episode(group).filter(|e| e.id == episode) else {
                     return;
                 };
                 // A profile broadcast before its sender's death was
@@ -118,12 +109,7 @@ impl Engine<'_> {
                     }
                     return;
                 }
-                match self
-                    .groups
-                    .get(group)
-                    .and_then(|gc| gc.episode.as_ref())
-                    .map(|e| e.id)
-                {
+                match self.episode(group).map(|e| e.id) {
                     Some(id) if id == episode => {
                         if epoch < self.membership_epoch {
                             // Unreachable under adaptive (the guard above
@@ -182,19 +168,10 @@ impl Engine<'_> {
                     // drained non-participant, a duplicate after the act —
                     // keeps the work directly: nothing would ever drain
                     // its stash. Only reachable under faults.
-                    // `get`: a rejoin re-expansion shipment can cross a
-                    // §S17 switch that dropped its group index; work is
-                    // never discarded, so an out-of-range group simply
-                    // means "no episode" and the receiver keeps it.
                     let act_pending = self.state[to] != ProcState::Rejoining
-                        && self
-                            .groups
-                            .get(group)
-                            .and_then(|gc| gc.episode.as_ref())
-                            .is_some_and(|e| {
-                                e.participants.binary_search(&to).is_ok()
-                                    && self.acted_in[to] != e.id
-                            });
+                        && self.episode(group).is_some_and(|e| {
+                            e.participants.binary_search(&to).is_ok() && self.acted_in[to] != e.id
+                        });
                     if act_pending {
                         self.early_work[to].push((group, ranges));
                     } else {

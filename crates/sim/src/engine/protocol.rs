@@ -217,6 +217,20 @@ pub(super) struct GroupCtl {
 }
 
 impl Engine<'_> {
+    /// Group `g`'s open episode. The one guard for a group index that an
+    /// event or a message carries: a §S17 switch while it was on the
+    /// heap or the wire may have renumbered the groups, so `g` can be
+    /// out of range (no episode) or name another group, whose episode a
+    /// holder of an episode id tells apart by comparing ids.
+    pub(super) fn episode(&self, g: usize) -> Option<&Episode> {
+        self.groups.get(g)?.episode.as_ref()
+    }
+
+    /// [`Engine::episode`], mutably.
+    pub(super) fn episode_mut(&mut self, g: usize) -> Option<&mut Episode> {
+        self.groups.get_mut(g)?.episode.as_mut()
+    }
+
     /// The processor hosting group `g`'s central balancer: its role's
     /// host — the master in the paper's flat layout, the group's level-1
     /// domain master under a §S16 hierarchy.
@@ -307,11 +321,7 @@ impl Engine<'_> {
         if !self.fault_active {
             return;
         }
-        let id = self.groups[g]
-            .episode
-            .as_ref()
-            .expect("watchdog needs an episode")
-            .id;
+        let id = self.episode(g).expect("watchdog needs an episode").id;
         self.push_event(
             now + self.policy.sync_timeout,
             EvKind::Watchdog { group: g, id },
@@ -369,9 +379,7 @@ impl Engine<'_> {
         if self.analytic {
             return self.count_profile(g, at, None);
         }
-        self.groups[g]
-            .episode
-            .as_mut()
+        self.episode_mut(g)
             .expect("no episode for profile")
             .received
             .entry(at)
@@ -394,7 +402,7 @@ impl Engine<'_> {
     /// (retransmissions) and membership-shrink re-checks cannot
     /// double-schedule.
     pub(super) fn try_calc(&mut self, g: usize, at: usize, now: f64) {
-        let Some(episode) = self.groups[g].episode.as_mut() else {
+        let Some(episode) = self.episode_mut(g) else {
             return;
         };
         let have = episode.received.get(&at).map_or(0, BTreeSet::len);
@@ -464,10 +472,7 @@ impl Engine<'_> {
         bytes: usize,
         now: f64,
     ) {
-        let ep = self.groups[g]
-            .episode
-            .as_ref()
-            .expect("no episode for profile");
+        let ep = self.episode(g).expect("no episode for profile");
         let (id, missing) = (ep.id, ep.participants.len() - ep.profiles.len());
         // The messages draw `base + 1..` in send order, as their `Deliver`
         // events would.
@@ -493,9 +498,7 @@ impl Engine<'_> {
                     .filter(|&(_, &(m, _))| profiled_in[m] != id)
                     .last();
                 if let Some((i, &(_, time))) = last {
-                    self.groups[g]
-                        .episode
-                        .as_mut()
+                    self.episode_mut(g)
                         .expect("episode checked above")
                         .last_profile = Some(key(i, time));
                 }
@@ -513,11 +516,7 @@ impl Engine<'_> {
     /// one flat role, per-domain under a §S16 hierarchy.
     pub(super) fn schedule_calc(&mut self, g: usize, at: usize, now: f64) {
         let calc_cost = self.cfg.as_ref().expect("calculation under DLB").calc_cost;
-        let id = self.groups[g]
-            .episode
-            .as_ref()
-            .expect("calculation for an open episode")
-            .id;
+        let id = self.episode(g).expect("calculation for an open episode").id;
         let done = match self.control() {
             Control::Centralized => {
                 debug_assert_eq!(at, self.balancer_host(g), "a central set is its host's");
@@ -546,10 +545,7 @@ impl Engine<'_> {
     /// received.
     fn decide_episode(&mut self, g: usize, at: usize, now: f64) -> Arc<Plan> {
         let profiles: Vec<PerfProfile> = {
-            let ep = self.groups[g]
-                .episode
-                .as_ref()
-                .expect("profiles of an open episode");
+            let ep = self.episode(g).expect("profiles of an open episode");
             if self.analytic {
                 ep.profiles.values().copied().collect()
             } else {
@@ -583,14 +579,9 @@ impl Engine<'_> {
     /// across all receivers.
     pub(super) fn on_calc(&mut self, g: usize, at: usize, id: u64, now: f64) {
         // Nothing to do if, since scheduling, the episode closed or was
-        // aborted (and maybe another opened), a §S17 switch dropped the
-        // group index, or the balancer died (and its set with it).
-        let Some(episode) = self
-            .groups
-            .get(g)
-            .and_then(|gc| gc.episode.as_ref())
-            .filter(|e| e.id == id)
-        else {
+        // aborted (and maybe another opened), or the balancer died (and
+        // its set with it).
+        let Some(episode) = self.episode(g).filter(|e| e.id == id) else {
             return;
         };
         let holds_set = self.analytic || episode.received.contains_key(&at);
@@ -607,13 +598,8 @@ impl Engine<'_> {
         if !central {
             return self.act_on_outcome(at, g, &outcome, now);
         }
-        let participants = Arc::clone(
-            &self.groups[g]
-                .episode
-                .as_ref()
-                .expect("episode checked above")
-                .participants,
-        );
+        let participants =
+            Arc::clone(&self.episode(g).expect("episode checked above").participants);
         let instruction = Payload::Instruction {
             group: g,
             outcome: Arc::clone(&outcome),
@@ -685,14 +671,11 @@ impl Engine<'_> {
     }
 
     /// `m` is no longer owed shipments in group `g`'s open episode.
-    /// `get`: a Work delivery can carry a group index a §S17 switch
-    /// dropped.
     pub(super) fn stop_awaiting(&mut self, g: usize, m: usize) {
-        if let Some(e) = self.groups.get_mut(g).and_then(|gc| gc.episode.as_mut()) {
-            if self.awaiting_in[m] == e.id {
-                self.awaiting_in[m] = 0;
-                e.awaiting -= 1;
-            }
+        let id = self.awaiting_in[m];
+        if let Some(e) = self.episode_mut(g).filter(|e| e.id == id) {
+            e.awaiting -= 1;
+            self.awaiting_in[m] = 0;
         }
     }
 
@@ -709,12 +692,8 @@ impl Engine<'_> {
     }
 
     pub(super) fn maybe_close_episode(&mut self, g: usize, now: f64) {
-        // `get`: reachable with a group index a §S17 switch dropped (via
-        // the Work delivery path); no group, no episode.
         let done = self
-            .groups
-            .get(g)
-            .and_then(|gc| gc.episode.as_ref())
+            .episode(g)
             .is_some_and(|e| e.acted == e.participants.len() && e.awaiting == 0);
         if done {
             self.groups[g].episode = None;

@@ -79,23 +79,11 @@ impl Engine<'_> {
     /// lost. Detect deaths, then retransmit; after `max_retries` rounds,
     /// abort the episode and release everyone still parked in it.
     pub(super) fn on_watchdog(&mut self, g: usize, id: u64, now: f64) {
-        // `get`: a §S17 switch may have shrunk the group list while this
-        // watchdog was on the heap; its episode is gone either way.
-        let Some(cur) = self
-            .groups
-            .get(g)
-            .and_then(|gc| gc.episode.as_ref())
-            .map(|e| e.id)
-        else {
+        // Closed, or a later episode: this watchdog is stale.
+        let Some(episode) = self.episode(g).filter(|e| e.id == id) else {
             return;
         };
-        if cur != id {
-            return; // a later episode; this watchdog is stale
-        }
-        let silent_dead: Vec<usize> = self.groups[g]
-            .episode
-            .as_ref()
-            .expect("episode id just read")
+        let silent_dead: Vec<usize> = episode
             .participants
             .iter()
             .copied()
@@ -105,13 +93,11 @@ impl Engine<'_> {
             self.handle_death(d, now);
         }
         // Death handling may have aborted or completed the episode.
-        let Some(episode) = self.groups[g].episode.as_mut() else {
+        let max_retries = self.policy.max_retries;
+        let Some(episode) = self.episode_mut(g).filter(|e| e.id == id) else {
             return;
         };
-        if episode.id != id {
-            return;
-        }
-        if episode.attempts >= self.policy.max_retries {
+        if episode.attempts >= max_retries {
             self.abort_episode(g, now);
             return;
         }
@@ -186,9 +172,6 @@ impl Engine<'_> {
         }
 
         self.fixup_episode_after_death(g, d, now);
-        // The fixup can close the episode and run a §S17 switch, which
-        // rebuilds `groups` and `proc_group`: re-read d's group.
-        let g = self.proc_group[d];
         self.reassign_ranges(g, ranges, now);
     }
 
@@ -360,10 +343,7 @@ impl Engine<'_> {
     fn retransmit(&mut self, g: usize, now: f64) {
         let control = self.control();
         let (episode_id, initiator, participants, profiled, acted, outcome) = {
-            let e = self.groups[g]
-                .episode
-                .as_ref()
-                .expect("retransmit needs an episode");
+            let e = self.episode(g).expect("retransmit needs an episode");
             (
                 e.id,
                 e.initiator,
@@ -436,7 +416,7 @@ impl Engine<'_> {
         }
         for b in balancers {
             let lacking: Vec<usize> = {
-                let e = self.groups[g].episode.as_ref().expect("episode above");
+                let e = self.episode(g).expect("episode above");
                 let have = e.received.get(&b);
                 e.profiles
                     .keys()

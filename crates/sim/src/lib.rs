@@ -34,7 +34,7 @@ pub mod taskqueue;
 /// so a bump atomically invalidates all previously persisted results
 /// (stale reports are never served; the old entries are simply never
 /// looked up again).
-pub const ENGINE_VERSION: u32 = 11;
+pub const ENGINE_VERSION: u32 = 12;
 
 pub use cluster::ClusterSpec;
 pub use engine::{Engine, EngineCounters, EngineMode};

@@ -66,6 +66,17 @@ fn local_first() -> AdaptiveConfig {
     }
 }
 
+/// `local_first` started from a two-level hierarchy: at P=16 eight
+/// groups of two under four level-1 domains, so a switch to a global
+/// strategy hands the hierarchy over to the flat layout.
+fn local_first_hierarchical() -> AdaptiveConfig {
+    let acfg = local_first();
+    AdaptiveConfig {
+        initial: acfg.initial.with_hierarchy(2, 2),
+        ..acfg
+    }
+}
+
 fn adaptive_run(
     cluster: &ClusterSpec,
     wl: &dyn LoopWorkload,
@@ -169,7 +180,9 @@ proptest! {
     /// in-flight Instructions, Profiles and watchdog retransmissions that
     /// cross the handover apply no old-regime state, the switch never
     /// lands inside an open episode, and both engine modes agree byte
-    /// for byte on the whole run.
+    /// for byte on the whole run. Each plan runs on two cells: flat
+    /// LDDLB at P=8, and at P=16 LDDLB under a two-level hierarchy,
+    /// whose switches to a global strategy replace the layout.
     #[test]
     fn handover_applies_no_stale_state_under_faults(
         crash in prop::option::of((2usize..8, 0.15f64..0.6)),
@@ -177,47 +190,52 @@ proptest! {
         loss in prop::option::of((0.02f64..0.2, 1u64..1000)),
         delay in prop::option::of((1.5f64..3.0, 0.1f64..0.4, 0.2f64..0.5)),
     ) {
-        let p = 8;
-        let iters = 8_000;
-        let wl = UniformLoop::new(iters, 0.01, 400);
-        let cluster = drift_cluster(p, 6.0);
-        // Fault-free probe for the horizon; place sampled faults as
-        // fractions of it. Crashes hit procs outside group 0 so the
-        // phase-2 story (work must leave group 0) survives.
-        let horizon = adaptive_run(&cluster, &wl, local_first(), &FaultPlan::none(), EngineMode::Episode)
-            .total_time;
-        let mut plan = FaultPlan::none();
-        if let Some((proc, f)) = crash {
-            plan.crashes = vec![CrashSpec { proc, at: horizon * f }];
-            if let Some(rf) = rejoin {
-                plan.recoveries = vec![RecoverSpec { proc, at: horizon * (f + rf) }];
+        for (p, acfg) in [(8, local_first()), (16, local_first_hierarchical())] {
+            let iters = 1_000 * p as u64;
+            let wl = UniformLoop::new(iters, 0.01, 400);
+            let cluster = drift_cluster(p, 6.0);
+            // Fault-free probe for the horizon; place sampled faults as
+            // fractions of it. Crashes hit procs outside group 0 so the
+            // phase-2 story (work must leave group 0) survives.
+            let probe = adaptive_run(&cluster, &wl, acfg, &FaultPlan::none(), EngineMode::Episode);
+            let horizon = probe.total_time;
+            let mut plan = FaultPlan::none();
+            if let Some((proc, f)) = crash {
+                plan.crashes = vec![CrashSpec { proc, at: horizon * f }];
+                if let Some(rf) = rejoin {
+                    plan.recoveries = vec![RecoverSpec { proc, at: horizon * (f + rf) }];
+                }
             }
-        }
-        if let Some((prob, seed)) = loss {
-            plan.loss = Some(LossSpec { prob, seed });
-        }
-        if let Some((factor, from, until)) = delay {
-            plan.delay = Some(DelaySpec {
-                factor,
-                from: horizon * from,
-                until: horizon * until.max(from + 0.05),
-            });
-        }
+            if let Some((prob, seed)) = loss {
+                plan.loss = Some(LossSpec { prob, seed });
+            }
+            if let Some((factor, from, until)) = delay {
+                plan.delay = Some(DelaySpec {
+                    factor,
+                    from: horizon * from,
+                    until: horizon * until.max(from + 0.05),
+                });
+            }
 
-        let reference = adaptive_run(&cluster, &wl, local_first(), &plan, EngineMode::PerIter);
-        let a = reference.adaptive.as_ref().expect("adaptive accounting");
-        prop_assert_eq!(a.mid_episode_switches, 0);
-        prop_assert_eq!(a.stale_applied, 0);
-        if plan.crashes.is_empty() || !plan.recoveries.is_empty() {
-            // Every sampled death rejoins (or none happens): all work
-            // must land. With a permanent death the engine still
-            // recovers the lost iterations onto survivors, which the
-            // byte-identity below checks in full.
-            prop_assert_eq!(reference.total_iters, iters);
+            let reference = adaptive_run(&cluster, &wl, acfg, &plan, EngineMode::PerIter);
+            let a = reference.adaptive.as_ref().expect("adaptive accounting");
+            prop_assert_eq!(a.mid_episode_switches, 0);
+            prop_assert_eq!(a.stale_applied, 0);
+            if plan.crashes.is_empty() || !plan.recoveries.is_empty() {
+                // Every sampled death rejoins (or none happens): all work
+                // must land. With a permanent death the engine still
+                // recovers the lost iterations onto survivors, which the
+                // byte-identity below checks in full.
+                prop_assert_eq!(reference.total_iters, iters);
+            }
+            let bytes = serde_json::to_string(&reference).expect("report serializes");
+            let episode = adaptive_run(&cluster, &wl, acfg, &plan, EngineMode::Episode);
+            let episode_bytes = serde_json::to_string(&episode).expect("report serializes");
+            prop_assert_eq!(&bytes, &episode_bytes, "P={}: episode mode diverged under plan {:?}", p, plan);
+            // The cell itself switches, so the plan lands around a
+            // handover.
+            let probe = probe.adaptive.expect("adaptive accounting");
+            prop_assert!(!probe.switches.is_empty(), "P={}: no switch to cover", p);
         }
-        let bytes = serde_json::to_string(&reference).expect("report serializes");
-        let episode = adaptive_run(&cluster, &wl, local_first(), &plan, EngineMode::Episode);
-        let episode_bytes = serde_json::to_string(&episode).expect("report serializes");
-        prop_assert_eq!(&bytes, &episode_bytes, "episode mode diverged under plan {:?}", plan);
     }
 }

@@ -3,11 +3,14 @@
 //! fire with a cleared profile set, and a calculation queued for an
 //! episode that a watchdog then aborts must not fire into the group's
 //! next episode. Either would reach `balance_group` with a profile set
-//! that is not the episode's, and an empty one panics.
+//! that is not the episode's, and an empty one panics. The same kind of
+//! staleness for a layout: a handler's group index must not outlive a
+//! strategy switch chosen in the middle of that handler.
 use customized_dlb::apps::MxmConfig;
-use customized_dlb::core::strategy::{Strategy, StrategyConfig};
+use customized_dlb::core::strategy::{AdaptiveConfig, Strategy, StrategyConfig};
 use customized_dlb::core::work::{LoopWorkload, UniformLoop};
-use customized_dlb::fault::{DelaySpec, FailurePolicy, FaultPlan, StallSpec};
+use customized_dlb::core::Scope;
+use customized_dlb::fault::{CrashSpec, DelaySpec, FailurePolicy, FaultPlan, StallSpec};
 use customized_dlb::load::LoadSpec;
 use customized_dlb::sim::{ClusterSpec, Engine, EngineMode};
 
@@ -71,4 +74,49 @@ fn calc_queued_for_an_aborted_episode_is_dropped() {
             .run();
         assert_eq!(report.total_iters, wl.iterations());
     }
+}
+
+/// An adaptive LDDLB run under a two-level hierarchy (eight groups of
+/// two, four domains): the watchdog of proc 13's group detects its
+/// silent death, the death handling closes the last open episode, and
+/// that boundary chooses a switch to a global strategy, whose layout
+/// has a single group. The watchdog must not go on to read its own
+/// group index in the new layout; the switch waits until the event's
+/// handler has returned.
+#[test]
+fn switch_chosen_inside_a_watchdog_waits_for_the_handler() {
+    let p = 16;
+    let wl = MxmConfig::new(25 * p as u64, 400, 400).workload();
+    let cluster = ClusterSpec::paper_homogeneous(p, 0x0DB1_0ADE, 0.5);
+    let initial = StrategyConfig::paper(Strategy::Lddlb, 2).with_hierarchy(2, 2);
+    let acfg = AdaptiveConfig {
+        initial,
+        window: 1,
+        min_episodes_between: 2,
+        ..AdaptiveConfig::paper(Strategy::Lddlb, 2)
+    };
+    let plan = FaultPlan {
+        crashes: vec![CrashSpec { proc: 13, at: 2.15 }],
+        ..FaultPlan::default()
+    };
+    let mut reports = Vec::new();
+    for mode in [EngineMode::PerIter, EngineMode::Episode] {
+        let report = Engine::new(cluster.clone(), &wl, Some(initial))
+            .with_mode(mode)
+            .with_faults(plan.clone(), FailurePolicy::default())
+            .with_adaptive(acfg)
+            .run();
+        assert_eq!(report.total_iters, wl.iterations());
+        let a = report.adaptive.as_ref().expect("adaptive accounting");
+        assert_eq!(a.mid_episode_switches, 0);
+        // The watchdog detects the death off the heartbeat cadence, and
+        // the switch follows at the same instant.
+        let detected = report.faults.as_ref().expect("fault accounting").detections[0].detected_at;
+        assert_ne!(detected % FailurePolicy::default().heartbeat_interval, 0.0);
+        assert_eq!(a.switches[0].at, detected);
+        assert_eq!(a.switches[0].from, Strategy::Lddlb);
+        assert_eq!(a.switches[0].to.scope(), Scope::Global);
+        reports.push(serde_json::to_string(&report).expect("report serializes"));
+    }
+    assert_eq!(reports[0], reports[1], "episode mode diverged");
 }
